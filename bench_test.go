@@ -152,53 +152,64 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkEndToEndRun measures a complete run — workload generation
-// plus simulation — through the public options API.
+// overlapped with simulation — through the public options API. Besides
+// throughput it reports peak-refs, the chunk pipeline's high-water mark
+// of resident trace references, which stays O(chunk budget) regardless
+// of scale.
 func BenchmarkEndToEndRun(b *testing.B) {
 	b.ReportAllocs()
 	var refs uint64
+	peak := 0
 	for i := 0; i < b.N; i++ {
 		o, err := New(TRFD4, Base, WithScale(benchScale), WithSeed(1)).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
 		refs += o.Refs
+		peak = max(peak, o.PeakTraceRefs)
+	}
+	b.ReportMetric(float64(refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
+	b.ReportMetric(float64(peak), "peak-refs")
+}
+
+// BenchmarkChunkPipeline measures the trace pipeline's handoff alone:
+// a producer goroutine sends pooled chunks round-robin to four CPU
+// queues and the consumer drains them with ChunkSource.NextChunk, the
+// way the simulator refills. One op is one chunk handed over.
+func BenchmarkChunkPipeline(b *testing.B) {
+	const cpus, chunk = 4, workload.DefaultChunkRefs
+	p := trace.NewChunkPipeline(cpus, 4*chunk)
+	defer p.Abort() // releases the producer if the consumer fails early
+	srcs := make([]*trace.ChunkSource, cpus)
+	for c := range srcs {
+		srcs[c] = p.Source(c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	go func() {
+		for i := 0; i < b.N; i++ {
+			p.Send(i%cpus, trace.GetBatch(chunk)[:chunk])
+		}
+		p.Close()
+	}()
+	var refs uint64
+	for i := 0; i < b.N; i++ {
+		refs += uint64(len(mustChunk(b, srcs[i%cpus])))
+	}
+	for _, src := range srcs {
+		if _, ok := src.NextChunk(); ok {
+			b.Fatal("chunk after the producer closed")
+		}
 	}
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
 }
 
-// BenchmarkBuildAndRunStreaming is BenchmarkEndToEndRun on the
-// streaming pipeline: generation overlaps simulation and the trace is
-// never materialized. It reports B/op (the pooled chunks keep it far
-// below the materialized path's footprint), throughput, and peak-refs —
-// the pipeline's high-water mark of resident references, which stays
-// O(budget) regardless of scale where the materialized path holds the
-// whole trace.
-func BenchmarkBuildAndRunStreaming(b *testing.B) {
-	b.ReportAllocs()
-	var refs uint64
-	peak := 0
-	for i := 0; i < b.N; i++ {
-		st := workload.Stream(workload.TRFD4, kernel.OptConfig{}, benchScale, 1, workload.StreamOptions{})
-		s, err := sim.New(sim.DefaultParams(), st.Sources())
-		if err != nil {
-			st.Abort()
-			b.Fatal(err)
-		}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			st.Abort()
-			b.Fatal(err)
-		}
-		if err := st.Wait(); err != nil {
-			b.Fatal(err)
-		}
-		refs += res.Refs
-		if p := st.PeakPendingRefs(); p > peak {
-			peak = p
-		}
+func mustChunk(b *testing.B, src *trace.ChunkSource) []trace.Ref {
+	chunk, ok := src.NextChunk()
+	if !ok {
+		b.Fatal("pipeline ended early")
 	}
-	b.ReportMetric(float64(refs)/b.Elapsed().Seconds()/1e6, "Mrefs/s")
-	b.ReportMetric(float64(peak), "peak-refs")
+	return chunk
 }
 
 // BenchmarkWorkloadGeneration measures trace-generation speed alone.

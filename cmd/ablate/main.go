@@ -30,7 +30,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		parallel = flag.Bool("parallel", true, "render studies concurrently (output order is unchanged)")
 		workers  = flag.Int("workers", 0, "simulation worker count when parallel (0 = GOMAXPROCS)")
-		stream   = flag.Bool("stream", false, "generate workloads concurrently with simulation in bounded chunks (identical output, flat memory)")
 	)
 	flag.Parse()
 
@@ -39,7 +38,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers, Stream: *stream,
+		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers,
 	})
 	studies := experiment.Ablations()
 	if *study != "all" {

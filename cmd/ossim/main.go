@@ -8,8 +8,7 @@
 //	ossim -scenario fs-naive           # a built-in scenario preset
 //	ossim -scenario my-workload.json   # a declarative scenario spec file
 //	ossim -list-workloads              # enumerate workloads and presets
-//	ossim -v           # append the per-stage timing breakdown
-//	ossim -stream -v   # overlap generation with simulation; report stalls
+//	ossim -v           # append the per-stage timing breakdown and generator stalls
 package main
 
 import (
@@ -41,8 +40,7 @@ func main() {
 		pureUp  = flag.Bool("pure-update", false, "use the update protocol on every page")
 		tfile   = flag.String("trace", "", "simulate this captured trace file instead of generating a workload")
 		docheck = flag.Bool("check", false, "run the differential oracle in lockstep and fail on any divergence")
-		stream  = flag.Bool("stream", false, "generate the workload concurrently with the simulation in bounded chunks (identical output, flat memory)")
-		verbose = flag.Bool("v", false, "append the per-stage timing breakdown (and generator stalls when streaming)")
+		verbose = flag.Bool("v", false, "append the per-stage timing breakdown and generator stalls")
 		ncpus   = flag.Int("cpus", 0, "processor count (0 = the paper's 4; directory coherence allows up to 256)")
 		cohname = flag.String("coherence", "", "coherence protocol: snoop (default) or directory")
 		l1wb    = flag.Bool("l1wb", false, "make the primary data cache write-back (stores to L2-owned lines complete locally)")
@@ -78,7 +76,7 @@ func main() {
 	}
 	cfg := core.RunConfig{
 		System: sys, Scale: *scale, Seed: *seed,
-		DeferredCopy: *dcopy, PureUpdate: *pureUp, Stream: *stream,
+		DeferredCopy: *dcopy, PureUpdate: *pureUp,
 		IntraWorkers: *intraW,
 		Machine:      machineFromFlags(*ncpus, *cohname, *l1wb),
 	}
@@ -242,14 +240,13 @@ func machineFromFlags(ncpus int, cohname string, l1wb bool) *sim.Params {
 // taxonomy the ossimd daemon exports as ossimd_run_stage_seconds, with
 // this invocation's report rendering as the render stage. Stream time
 // overlaps simulation, so the total excludes it; generator stalls show
-// how much of the simulate stage was spent waiting on generation.
+// how long the producer sat blocked on a full pipeline waiting for the
+// simulator (a large value means the simulator is the bottleneck).
 func reportStages(o *core.Outcome, render time.Duration) {
 	st := o.Stages
 	st.Render = render
 	fmt.Printf("\nStage breakdown (total %s):\n", st.Total().Round(time.Microsecond))
-	if st.Build > 0 {
-		fmt.Printf("  build     %12s\n", st.Build.Round(time.Microsecond))
-	}
+	// A trace-file replay has no producer, hence no stream stage.
 	if st.Stream > 0 {
 		fmt.Printf("  stream    %12s  (overlapped with simulate)\n", st.Stream.Round(time.Microsecond))
 	}
@@ -258,6 +255,7 @@ func reportStages(o *core.Outcome, render time.Duration) {
 	if st.Stream > 0 {
 		fmt.Printf("  generator stalls: %d (%s blocked in the pipeline)\n",
 			o.GenStalls, o.GenStallTime.Round(time.Microsecond))
+		fmt.Printf("  trace memory: peak %d refs resident in the pipeline\n", o.PeakTraceRefs)
 	}
 }
 

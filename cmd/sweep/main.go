@@ -51,7 +51,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		parallel = flag.Bool("parallel", true, "fan grid points across workers (output is identical to serial)")
 		workers  = flag.Int("workers", 0, "worker count when parallel (0 = GOMAXPROCS)")
-		stream   = flag.Bool("stream", false, "generate each workload concurrently with its simulation in bounded chunks (identical output, flat memory)")
 		intraW   = flag.Int("intra-workers", 0, "advance processors of each single run concurrently on this many workers (byte-identical output; 0 or 1 = serial)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -172,7 +171,7 @@ func main() {
 		p := pt.p
 		cfg := core.RunConfig{
 			System: sys, Scale: *scale, Seed: *seed,
-			Machine: &p, Stream: *stream, IntraWorkers: *intraW,
+			Machine: &p, IntraWorkers: *intraW,
 		}
 		if pt.spec != nil {
 			cfg.Scenario = pt.spec
@@ -185,7 +184,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
-		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers, Stream: *stream,
+		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers,
 		IntraWorkers: *intraW,
 	})
 

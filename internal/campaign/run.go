@@ -52,7 +52,6 @@ func (p *Progress) start(cells, unique int) {
 // nothing), sums into the campaign aggregate, and forwards.
 func (p *Progress) observeStages(st core.StageTimings) {
 	p.mu.Lock()
-	p.stages.Build += st.Build
 	p.stages.Stream += st.Stream
 	p.stages.Simulate += st.Simulate
 	p.mu.Unlock()

@@ -173,23 +173,15 @@ type RunConfig struct {
 	// primary-cache eviction is attributed to the (evictor, victim)
 	// data-structure pair.
 	TrackConflicts bool
-	// Stream generates the workload on a producer goroutine overlapped
-	// with the simulation, holding only O(NumCPUs × chunk budget) trace
-	// references in memory instead of the whole trace. The simulated
-	// reference sequences are byte-identical to the materialized path,
-	// so Stream is an execution strategy, not a configuration: it is
-	// excluded from CanonicalKey. Incompatible with Monitor (which
-	// needs replayable materialized sources).
-	Stream bool
 	// IntraWorkers > 1 runs the single simulation itself on multiple
 	// goroutines: processors advance concurrently through bounded time
 	// windows the simulator proves free of cross-processor coherence
 	// traffic, with serial fallback for every other window (see
 	// internal/sim/parallel.go). Results are byte-identical to serial —
-	// pinned by the intra-parallel determinism tier — so, like Stream,
-	// it is an execution strategy excluded from CanonicalKey. It
-	// composes with Stream and with experiment.Config.Parallel (which
-	// parallelizes across runs; multiply the two widths with care).
+	// pinned by the intra-parallel determinism tier — so it is an
+	// execution strategy excluded from CanonicalKey. It composes with
+	// experiment.Config.Parallel (which parallelizes across runs;
+	// multiply the two widths with care).
 	IntraWorkers int
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
@@ -212,10 +204,7 @@ type RunConfig struct {
 // record the observability layer attributes a run's time with, the way
 // the paper's monitor attributes stall time to miss categories.
 type StageTimings struct {
-	// Build is the materialized workload-generation time (zero for
-	// streaming runs, whose generation overlaps simulation).
-	Build time.Duration
-	// Stream is the streaming producer's wall time, from launch to the
+	// Stream is the workload producer's wall time, from launch to the
 	// pipeline closing. It overlaps Simulate — the overlap is the
 	// point of streaming — so Total deliberately excludes it.
 	Stream time.Duration
@@ -228,9 +217,9 @@ type StageTimings struct {
 }
 
 // Total returns the non-overlapped wall clock of the run:
-// Build + Simulate + Render. Stream is excluded because the producer
-// runs concurrently with Simulate.
-func (t StageTimings) Total() time.Duration { return t.Build + t.Simulate + t.Render }
+// Simulate + Render. Stream is excluded because the producer runs
+// concurrently with Simulate.
+func (t StageTimings) Total() time.Duration { return t.Simulate + t.Render }
 
 // Outcome is the result of one run.
 type Outcome struct {
@@ -251,10 +240,15 @@ type Outcome struct {
 	// caller that renders).
 	Stages StageTimings
 	// GenStalls and GenStallTime record how often — and for how long —
-	// a streaming run's producer blocked on a full pipeline queue. Both
-	// are zero for materialized runs.
+	// the workload producer blocked on a full pipeline queue, waiting
+	// for the simulation to consume. A large GenStallTime means the
+	// simulator, not generation, is the bottleneck.
 	GenStalls    uint64
 	GenStallTime time.Duration
+	// PeakTraceRefs is the high-water mark of trace references resident
+	// in the generation pipeline — the run's trace-memory ceiling, which
+	// stays O(chunk budget) regardless of scale.
+	PeakTraceRefs int
 }
 
 // OSTime returns the operating-system execution time of the run in
@@ -307,14 +301,11 @@ func machineParams(cfg RunConfig) sim.Params {
 	return p
 }
 
-// Run executes one configuration. Cancellation of ctx aborts the
-// simulation promptly; the returned error then wraps context.Cause(ctx).
-//
-// With cfg.Stream set the workload is generated concurrently with the
-// simulation in bounded chunks (see workload.Stream); the results are
-// byte-identical to the materialized path. Monitor forces the
-// materialized path regardless, because a monitor may hold the
-// simulator (and its replayable sources) after Run returns.
+// Run executes one configuration. The workload is generated on a
+// producer goroutine concurrently with the simulation, in bounded
+// chunks (see workload.Stream). Cancellation of ctx aborts the
+// simulation promptly; the returned error then wraps
+// context.Cause(ctx).
 func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -325,68 +316,8 @@ func Run(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		}
 		cfg.Workload = workload.SpecWorkloadName(cfg.Scenario)
 	}
-	if cfg.Stream && cfg.Monitor == nil {
-		return runStreaming(ctx, cfg)
-	}
-
 	// The machine parameters come first: the workload is traced for
 	// exactly the machine's processor count.
-	p := machineParams(cfg)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	buildStart := time.Now()
-	var built *workload.Built
-	if cfg.Scenario != nil {
-		var err error
-		built, err = workload.BuildSpec(cfg.Scenario, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		built = workload.BuildN(cfg.Workload, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs)
-	}
-	stages := StageTimings{Build: time.Since(buildStart)}
-	if cfg.Progress != nil {
-		cfg.Progress.SetTotalRefs(uint64(built.TotalRefs()))
-	}
-
-	s, err := sim.New(p, built.Sources())
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Monitor != nil {
-		cfg.Monitor(s, p)
-	}
-	simStart := time.Now()
-	res, err := s.Run(ctx)
-	stages.Simulate = time.Since(simStart)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s on %s: %w", cfg.System, cfg.Workload, err)
-	}
-	if cfg.Monitor == nil {
-		// Recycle the trace's backing arrays. A Monitor may have kept a
-		// handle on the simulator (and through it the sources), so the
-		// release is skipped in that case.
-		built.Release()
-	}
-	if cfg.OnStages != nil {
-		cfg.OnStages(stages)
-	}
-	return &Outcome{
-		Config:    cfg,
-		Counters:  res.Counters,
-		Deferred:  built.Kernel.DeferredCopies(),
-		Refs:      res.Refs,
-		CPUTime:   res.CPUTime,
-		Conflicts: res.Conflicts,
-		Stages:    stages,
-	}, nil
-}
-
-// runStreaming executes one configuration with generation overlapped
-// with simulation through the chunk pipeline.
-func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 	p := machineParams(cfg)
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -412,6 +343,9 @@ func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		st.Abort()
 		return nil, err
 	}
+	if cfg.Monitor != nil {
+		cfg.Monitor(s, p)
+	}
 	simStart := time.Now()
 	res, err := s.Run(ctx)
 	simElapsed := time.Since(simStart)
@@ -432,15 +366,16 @@ func runStreaming(ctx context.Context, cfg RunConfig) (*Outcome, error) {
 		cfg.OnStages(stages)
 	}
 	return &Outcome{
-		Config:       cfg,
-		Counters:     res.Counters,
-		Deferred:     st.Kernel.DeferredCopies(),
-		Refs:         res.Refs,
-		CPUTime:      res.CPUTime,
-		Conflicts:    res.Conflicts,
-		Stages:       stages,
-		GenStalls:    stalls,
-		GenStallTime: stallTime,
+		Config:        cfg,
+		Counters:      res.Counters,
+		Deferred:      st.Kernel.DeferredCopies(),
+		Refs:          res.Refs,
+		CPUTime:       res.CPUTime,
+		Conflicts:     res.Conflicts,
+		Stages:        stages,
+		GenStalls:     stalls,
+		GenStallTime:  stallTime,
+		PeakTraceRefs: st.PeakPendingRefs(),
 	}, nil
 }
 

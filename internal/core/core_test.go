@@ -200,11 +200,41 @@ func TestRunPureUpdate(t *testing.T) {
 	}
 }
 
-// TestRunStreamingMatchesMaterialized pins the tentpole contract at the
-// core boundary: Stream is an execution strategy, not a configuration —
-// the streamed pipeline must produce the exact counters, reference
-// totals, and deferred-copy stats the materialized path does, across
-// systems with different kernel builds and machine models.
+// materializedRun is the reference execution Run used to take before
+// it streamed: the whole trace built first (workload.BuildN/BuildSpec),
+// then simulated from in-memory slices on the same machine.
+func materializedRun(t *testing.T, cfg RunConfig) *Outcome {
+	t.Helper()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	p := machineParams(cfg)
+	var built *workload.Built
+	if cfg.Scenario != nil {
+		var err error
+		if built, err = workload.BuildSpec(cfg.Scenario, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		built = workload.BuildN(cfg.Workload, kernelOpt(cfg), cfg.Scale, cfg.Seed, p.NumCPUs)
+	}
+	defer built.Release()
+	s, err := sim.New(p, built.Sources())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Outcome{Counters: res.Counters, Deferred: built.Kernel.DeferredCopies(), Refs: res.Refs, CPUTime: res.CPUTime}
+}
+
+// TestRunStreamingMatchesMaterialized pins the streaming contract at
+// the core boundary: Run, which always streams, must produce the exact
+// counters, reference totals, per-CPU clocks and deferred-copy stats of
+// a materialized build simulated from memory, across systems with
+// different kernel builds and machine models.
 func TestRunStreamingMatchesMaterialized(t *testing.T) {
 	cfgs := []RunConfig{
 		{Workload: workload.Shell, System: Base, Scale: testScale, Seed: 1},
@@ -213,16 +243,11 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 		{Workload: workload.TRFD4, System: BCohRelUp, Scale: testScale, Seed: 3, PureUpdate: true},
 	}
 	for _, cfg := range cfgs {
-		mat, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%v materialized: %v", cfg.System, err)
-		}
-		scfg := cfg
-		scfg.Stream = true
-		str, err := Run(context.Background(), scfg)
+		str, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%v streaming: %v", cfg.System, err)
 		}
+		mat := materializedRun(t, cfg)
 		if str.Counters != mat.Counters {
 			t.Errorf("%v: streaming counters differ from materialized", cfg.System)
 		}
@@ -232,8 +257,10 @@ func TestRunStreamingMatchesMaterialized(t *testing.T) {
 		if str.Deferred != mat.Deferred {
 			t.Errorf("%v: streaming deferred stats differ", cfg.System)
 		}
-		if str.Config.CanonicalKey() != mat.Config.CanonicalKey() {
-			t.Errorf("%v: Stream leaked into CanonicalKey", cfg.System)
+		for i := range mat.CPUTime {
+			if str.CPUTime[i] != mat.CPUTime[i] {
+				t.Errorf("%v: cpu%d clock %d, materialized %d", cfg.System, i, str.CPUTime[i], mat.CPUTime[i])
+			}
 		}
 	}
 }
@@ -261,10 +288,10 @@ func TestHeadlineRobustAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestRunStageTimings pins the stage-timing contract of Run: a
-// materialized run records Build and Simulate (no Stream), a streaming
-// run records Stream and Simulate (no Build), and OnStages fires
-// exactly once with the outcome's own timings.
+// TestRunStageTimings pins the stage-timing contract of Run's single
+// execution path: a run records Stream and Simulate, Total is Simulate
+// alone while Render is unset (Stream overlaps Simulate), and OnStages
+// fires exactly once with the outcome's own timings.
 func TestRunStageTimings(t *testing.T) {
 	var fired int
 	var got StageTimings
@@ -282,33 +309,10 @@ func TestRunStageTimings(t *testing.T) {
 	if got != o.Stages {
 		t.Errorf("OnStages saw %+v, outcome has %+v", got, o.Stages)
 	}
-	if o.Stages.Build <= 0 || o.Stages.Simulate <= 0 {
-		t.Errorf("materialized run missing build/simulate timing: %+v", o.Stages)
+	if o.Stages.Stream <= 0 || o.Stages.Simulate <= 0 {
+		t.Errorf("run missing stream/simulate timing: %+v", o.Stages)
 	}
-	if o.Stages.Stream != 0 {
-		t.Errorf("materialized run recorded stream time: %+v", o.Stages)
-	}
-	if total := o.Stages.Total(); total != o.Stages.Build+o.Stages.Simulate {
-		t.Errorf("Total() = %v, want Build+Simulate (Render unset)", total)
-	}
-	if o.GenStalls != 0 || o.GenStallTime != 0 {
-		t.Errorf("materialized run reported gen stalls: %d/%v", o.GenStalls, o.GenStallTime)
-	}
-
-	cfg.OnStages = func(s StageTimings) { fired++; got = s }
-	cfg.Stream = true
-	fired = 0
-	so, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("streaming OnStages fired %d times, want 1", fired)
-	}
-	if so.Stages.Stream <= 0 || so.Stages.Simulate <= 0 {
-		t.Errorf("streaming run missing stream/simulate timing: %+v", so.Stages)
-	}
-	if so.Stages.Build != 0 {
-		t.Errorf("streaming run recorded build time: %+v", so.Stages)
+	if total := o.Stages.Total(); total != o.Stages.Simulate {
+		t.Errorf("Total() = %v, want Simulate (Render unset)", total)
 	}
 }

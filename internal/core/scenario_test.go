@@ -66,20 +66,15 @@ func TestRunScenario(t *testing.T) {
 }
 
 // TestRunScenarioStreamIdentical pins the strategy-independence of
-// scenario runs: the streaming path must reproduce the materialized
-// counters exactly (the canonical key ignores Stream for this reason).
+// scenario runs: Run's streaming path must reproduce the counters of
+// the scenario's materialized build exactly.
 func TestRunScenarioStreamIdentical(t *testing.T) {
-	base := RunConfig{Scenario: preset(t, "os-mix"), System: BCPref, Seed: 3}
-	a, err := Run(context.Background(), base)
+	cfg := RunConfig{Scenario: preset(t, "os-mix"), System: BCPref, Seed: 3}
+	b, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := base
-	streamed.Stream = true
-	b, err := Run(context.Background(), streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := materializedRun(t, cfg)
 	if a.Counters != b.Counters {
 		t.Fatal("streamed scenario run diverged from the materialized run")
 	}

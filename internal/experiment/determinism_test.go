@@ -48,46 +48,13 @@ func TestParallelSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamingDeterminism renders every experiment twice — once on the
-// materialized trace path and once on the streaming pipeline — and
-// requires byte-identical reports. This is the streaming determinism
-// tier: Stream changes only when refs exist, never which refs or what
-// they cost, so streamed sweeps remain interchangeable with the golden
-// files. The streaming runner is also parallel, so under -race this
-// doubles as a contention test of the producer/consumer pipeline.
-func TestStreamingDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-grid double render is slow")
-	}
-	cfg := TestConfig()
-	materialized := NewRunner(cfg)
-	scfg := cfg
-	scfg.Stream = true
-	scfg.Parallel = true
-	scfg.Workers = 4
-	streaming := NewRunner(scfg)
-	for _, e := range All() {
-		want, err := e.Render(materialized)
-		if err != nil {
-			t.Fatalf("%s materialized: %v", e.ID, err)
-		}
-		got, err := e.Render(streaming)
-		if err != nil {
-			t.Fatalf("%s streaming: %v", e.ID, err)
-		}
-		if got != want {
-			t.Errorf("%s: streaming render differs from materialized", e.ID)
-		}
-	}
-}
-
 // TestIntraParallelDeterminism is the intra-run parallel determinism
 // tier: the epoch-sharded engine (RunConfig.IntraWorkers) must be a
 // pure execution strategy, never changing what a run computes. Three
 // layers of evidence:
 //
 //  1. Every paper experiment renders byte-identically with the intra
-//     engine on, alone and stacked on the streaming pipeline.
+//     engine on.
 //  2. Every scenario preset, on both the paper's 4-CPU snooping
 //     machine and a 16-CPU directory machine, matches an
 //     oracle-verified serial baseline (check.Differential replays the
@@ -112,24 +79,17 @@ func TestIntraParallelDeterminism(t *testing.T) {
 	icfg := cfg
 	icfg.IntraWorkers = 4
 	intra := NewRunner(icfg)
-	sicfg := icfg
-	sicfg.Stream = true
-	streamedIntra := NewRunner(sicfg)
 	for _, e := range All() {
 		want, err := e.Render(serial)
 		if err != nil {
 			t.Fatalf("%s serial: %v", e.ID, err)
 		}
-		for name, r := range map[string]*Runner{
-			"intra-parallel": intra, "streamed intra-parallel": streamedIntra,
-		} {
-			got, err := e.Render(r)
-			if err != nil {
-				t.Fatalf("%s %s: %v", e.ID, name, err)
-			}
-			if got != want {
-				t.Errorf("%s: %s render differs from serial", e.ID, name)
-			}
+		got, err := e.Render(intra)
+		if err != nil {
+			t.Fatalf("%s intra-parallel: %v", e.ID, err)
+		}
+		if got != want {
+			t.Errorf("%s: intra-parallel render differs from serial", e.ID)
 		}
 	}
 
@@ -154,34 +114,29 @@ func TestIntraParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s oracle baseline: %v", preset, mname, err)
 			}
-			for vname, stream := range map[string]bool{
-				"intra-parallel": false, "streamed intra-parallel": true,
-			} {
-				v := scenarioCfg(t, preset, core.Base)
-				if mk != nil {
-					v.Machine = mk()
-				}
-				v.IntraWorkers = 4
-				v.Stream = stream
-				got, err := core.Run(ctx, v)
-				if err != nil {
-					t.Fatalf("%s/%s %s: %v", preset, mname, vname, err)
-				}
-				if got.Counters != want.Counters {
-					t.Errorf("%s/%s: %s counters differ from oracle-verified serial", preset, mname, vname)
-				}
-				if got.Refs != want.Refs {
-					t.Errorf("%s/%s: %s simulated %d refs, serial %d", preset, mname, vname, got.Refs, want.Refs)
-				}
-				if len(got.CPUTime) != len(want.CPUTime) {
-					t.Fatalf("%s/%s: %s reports %d CPU clocks, serial %d",
-						preset, mname, vname, len(got.CPUTime), len(want.CPUTime))
-				}
-				for i := range want.CPUTime {
-					if got.CPUTime[i] != want.CPUTime[i] {
-						t.Errorf("%s/%s: %s cpu%d clock %d, serial %d",
-							preset, mname, vname, i, got.CPUTime[i], want.CPUTime[i])
-					}
+			v := scenarioCfg(t, preset, core.Base)
+			if mk != nil {
+				v.Machine = mk()
+			}
+			v.IntraWorkers = 4
+			got, err := core.Run(ctx, v)
+			if err != nil {
+				t.Fatalf("%s/%s intra-parallel: %v", preset, mname, err)
+			}
+			if got.Counters != want.Counters {
+				t.Errorf("%s/%s: intra-parallel counters differ from oracle-verified serial", preset, mname)
+			}
+			if got.Refs != want.Refs {
+				t.Errorf("%s/%s: intra-parallel simulated %d refs, serial %d", preset, mname, got.Refs, want.Refs)
+			}
+			if len(got.CPUTime) != len(want.CPUTime) {
+				t.Fatalf("%s/%s: intra-parallel reports %d CPU clocks, serial %d",
+					preset, mname, len(got.CPUTime), len(want.CPUTime))
+			}
+			for i := range want.CPUTime {
+				if got.CPUTime[i] != want.CPUTime[i] {
+					t.Errorf("%s/%s: intra-parallel cpu%d clock %d, serial %d",
+						preset, mname, i, got.CPUTime[i], want.CPUTime[i])
 				}
 			}
 		}
@@ -263,7 +218,7 @@ func TestRunConfigsCancellation(t *testing.T) {
 // TestDirectoryDeterminism pins the generalized machine to the same
 // reproducibility bar as the paper's: a 16-CPU directory-coherent run
 // must be byte-identical whether it executes serially, through the
-// work-stealing scheduler, or on the streaming pipeline. Under -race
+// work-stealing scheduler, or on the intra-run parallel engine. Under -race
 // in CI this also exercises the per-home port timelines and the
 // directory map under real scheduler contention.
 func TestDirectoryDeterminism(t *testing.T) {
@@ -288,10 +243,10 @@ func TestDirectoryDeterminism(t *testing.T) {
 		t.Fatal("no references simulated")
 	}
 
-	streamed := base
-	streamed.Machine = machine()
-	streamed.Stream = true
-	gotStream, err := core.Run(context.Background(), streamed)
+	intra := base
+	intra.Machine = machine()
+	intra.IntraWorkers = 4
+	gotIntra, err := core.Run(context.Background(), intra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +260,7 @@ func TestDirectoryDeterminism(t *testing.T) {
 	}
 
 	for name, got := range map[string]*core.Outcome{
-		"streaming": gotStream, "parallel scheduler": outs[0],
+		"intra-parallel": gotIntra, "parallel scheduler": outs[0],
 	} {
 		if got.Counters != want.Counters {
 			t.Errorf("%s counters differ from the serial run", name)

@@ -35,12 +35,6 @@ type Config struct {
 	// Workers is the scheduler width when Parallel is set; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Stream generates each workload concurrently with its simulation
-	// in bounded chunks (core.RunConfig.Stream) instead of
-	// materializing it first. Results are byte-identical either way —
-	// pinned by the streaming determinism tier — so this only trades
-	// peak memory and wall clock.
-	Stream bool
 	// IntraWorkers runs each single simulation on this many worker
 	// goroutines (core.RunConfig.IntraWorkers): processors advance
 	// concurrently through provably conflict-free time windows, byte-
@@ -166,7 +160,7 @@ func (r *Runner) configFor(w workload.Name, sys core.System) core.RunConfig {
 	return core.RunConfig{
 		Workload: w, System: sys,
 		Scale: r.cfg.Scale, Seed: r.cfg.Seed,
-		Stream: r.cfg.Stream, IntraWorkers: r.cfg.IntraWorkers,
+		IntraWorkers: r.cfg.IntraWorkers,
 	}
 }
 

@@ -33,10 +33,10 @@ type OptConfig struct {
 	HotSpotPrefetch bool
 }
 
-// Emitter accumulates the reference stream of one processor. In the
-// materialized path Refs simply grows for the whole build; a streaming
-// producer instead sets Flush/FlushAt so the buffer is handed off in
-// bounded chunks as it fills.
+// Emitter accumulates the reference stream of one processor. Without
+// a Flush hook Refs simply grows; the workload generator sets
+// Flush/FlushAt so the buffer is handed off in bounded chunks as it
+// fills.
 type Emitter struct {
 	// CPU stamps every emitted reference.
 	CPU uint8
@@ -74,7 +74,7 @@ func (e *Emitter) EmitBatch(rs []trace.Ref) {
 }
 
 // maybeFlush hands the buffer to the Flush hook once it reaches the
-// flush threshold. Nil-checked first so the materialized path pays a
+// flush threshold. Nil-checked first so an emitter without a hook pays a
 // single predictable branch.
 func (e *Emitter) maybeFlush() {
 	if e.Flush != nil && e.FlushAt > 0 && len(e.Refs) >= e.FlushAt {
@@ -83,27 +83,12 @@ func (e *Emitter) maybeFlush() {
 }
 
 // FlushPending hands any buffered references to the Flush hook
-// regardless of the threshold. Streaming producers call it at round
-// boundaries and at the end of generation so the tail of the stream is
-// delivered.
+// regardless of the threshold. The workload generator calls it at
+// every round boundary so the tail of each round is delivered.
 func (e *Emitter) FlushPending() {
 	if e.Flush != nil && len(e.Refs) > 0 {
 		e.Refs = e.Flush(e.Refs)
 	}
-}
-
-// Reserve ensures capacity for at least n further references, so a
-// generator that can estimate its output (rounds × refs-per-round)
-// pays one allocation instead of a doubling cascade. The grown batch
-// comes from the trace pool and the outgrown one returns to it, so
-// repeated builds recycle both generations of backing array.
-func (e *Emitter) Reserve(n int) {
-	if cap(e.Refs)-len(e.Refs) >= n {
-		return
-	}
-	grown := append(trace.GetBatch(len(e.Refs)+n), e.Refs...)
-	trace.PutBatch(e.Refs)
-	e.Refs = grown
 }
 
 // Len returns the number of references emitted.

@@ -91,7 +91,6 @@ func (cr *CampaignRequest) plan() (*campaign.Plan, string, error) {
 		L2Line:       cr.L2Line,
 		Scale:        cr.Scale,
 		Seed:         cr.Seed,
-		Stream:       cr.Stream,
 		IntraWorkers: cr.IntraWorkers,
 		MaxCells:     maxCampaignCells,
 		CPUs:         cr.CPUs,

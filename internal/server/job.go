@@ -50,7 +50,7 @@ type Job struct {
 	Kind    string // "run", "sweep" or "campaign"
 	Key     string // canonical content address (deduplication key)
 	Timeout time.Duration
-	Request any          // the decoded request body, echoed in status
+	Request any // the decoded request body, echoed in status
 	Cfg     core.RunConfig
 	Points  []sweepPoint // sweep grid (Kind == "sweep")
 
@@ -272,9 +272,11 @@ type RunResult struct {
 	BusTransactions uint64  `json:"bus_transactions"`
 	BusBytes        uint64  `json:"bus_bytes"`
 	SimSeconds      float64 `json:"sim_seconds"`
-	// GenStalls and GenStallSeconds are a streaming run's backpressure
-	// record: how often (and for how long) the trace producer blocked
-	// on a full pipeline queue. Absent for materialized runs.
+	// GenStalls and GenStallSeconds are the run's backpressure record:
+	// how often (and for how long) the trace producer blocked on a
+	// full pipeline queue, waiting for the simulator to consume. A
+	// large value means the simulator is the bottleneck; absent when
+	// the producer never blocked.
 	GenStalls       uint64  `json:"gen_stalls,omitempty"`
 	GenStallSeconds float64 `json:"gen_stall_seconds,omitempty"`
 }
@@ -302,12 +304,10 @@ func summarize(o *core.Outcome) *RunResult {
 }
 
 // StageView is the JSON rendering of a run's wall-clock decomposition
-// (core.StageTimings). Build and Stream are mutually exclusive:
-// materialized runs build, streaming runs stream (overlapped with
-// simulation, which is why TotalSeconds excludes stream time). For a
-// sweep job the fields are sums over its points.
+// (core.StageTimings). Stream time overlaps simulation, which is why
+// TotalSeconds excludes it. For a sweep job the fields are sums over
+// its points.
 type StageView struct {
-	BuildSeconds    float64 `json:"build_seconds,omitempty"`
 	StreamSeconds   float64 `json:"stream_seconds,omitempty"`
 	SimulateSeconds float64 `json:"simulate_seconds,omitempty"`
 	RenderSeconds   float64 `json:"render_seconds,omitempty"`
@@ -317,7 +317,6 @@ type StageView struct {
 // stageView renders stage timings for the API.
 func stageView(t core.StageTimings) *StageView {
 	return &StageView{
-		BuildSeconds:    t.Build.Seconds(),
 		StreamSeconds:   t.Stream.Seconds(),
 		SimulateSeconds: t.Simulate.Seconds(),
 		RenderSeconds:   t.Render.Seconds(),
@@ -339,9 +338,8 @@ type SweepResult struct {
 }
 
 // ProgressView is the progress section of a job's JSON view. GenRefs
-// tracks the workload generator: equal to TotalRefs for materialized
-// runs, advancing between Refs and TotalRefs while a streaming run's
-// producer works ahead of its simulation.
+// tracks the workload generator, advancing between Refs and TotalRefs
+// while the producer works ahead of the simulation.
 type ProgressView struct {
 	Refs         uint64  `json:"refs"`
 	GenRefs      uint64  `json:"gen_refs"`
@@ -366,18 +364,18 @@ type ProgressView struct {
 // JobView is the JSON rendering of a job returned by the status,
 // submit and stream endpoints.
 type JobView struct {
-	ID         string        `json:"id"`
-	Kind       string        `json:"kind"`
-	State      JobState      `json:"state"`
-	Deduped    bool          `json:"deduped,omitempty"`
-	Key        string        `json:"key"`
-	CreatedAt  time.Time     `json:"created_at"`
-	StartedAt  *time.Time    `json:"started_at,omitempty"`
-	FinishedAt *time.Time    `json:"finished_at,omitempty"`
-	Request    any           `json:"request,omitempty"`
-	Progress   *ProgressView `json:"progress,omitempty"`
-	Result     *RunResult    `json:"result,omitempty"`
-	Sweep      *SweepResult  `json:"sweep,omitempty"`
+	ID         string          `json:"id"`
+	Kind       string          `json:"kind"`
+	State      JobState        `json:"state"`
+	Deduped    bool            `json:"deduped,omitempty"`
+	Key        string          `json:"key"`
+	CreatedAt  time.Time       `json:"created_at"`
+	StartedAt  *time.Time      `json:"started_at,omitempty"`
+	FinishedAt *time.Time      `json:"finished_at,omitempty"`
+	Request    any             `json:"request,omitempty"`
+	Progress   *ProgressView   `json:"progress,omitempty"`
+	Result     *RunResult      `json:"result,omitempty"`
+	Sweep      *SweepResult    `json:"sweep,omitempty"`
 	Campaign   *CampaignResult `json:"campaign,omitempty"`
 	// Stages is the completed job's wall-clock decomposition; for a
 	// deduplicated job it reports the execution that actually ran.

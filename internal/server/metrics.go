@@ -125,8 +125,8 @@ func newMetrics(s *Server) *metrics {
 	mt.campaignDur = mt.reg.Histogram("ossimd_campaign_seconds",
 		"campaign wall clock, submission of the grid to the last cell",
 		obs.WideDurationBuckets())
-	mt.stage = make(map[string]*obs.Histogram, 4)
-	for _, stage := range []string{"build", "stream", "simulate", "render"} {
+	mt.stage = make(map[string]*obs.Histogram, 3)
+	for _, stage := range []string{"stream", "simulate", "render"} {
 		mt.stage[stage] = mt.reg.Histogram("ossimd_run_stage_seconds",
 			"per-run stage wall clock, by stage", obs.DurationBuckets(), obs.L("stage", stage))
 	}
@@ -230,13 +230,9 @@ func (mt *metrics) jobStarted(queueWait time.Duration) {
 // observeRunStages records one actual simulation execution's stage
 // durations. It is installed as core.RunConfig.OnStages, which fires
 // only when a simulation really ran — cached and deduplicated results
-// do not re-observe stale timings. A stage that did not occur (Build
-// on a streaming run, Stream on a materialized one) is skipped rather
-// than logged as a zero.
+// do not re-observe stale timings. A stage with no recorded time is
+// skipped rather than logged as a zero.
 func (mt *metrics) observeRunStages(st core.StageTimings) {
-	if st.Build > 0 {
-		mt.stage["build"].ObserveDuration(st.Build)
-	}
 	if st.Stream > 0 {
 		mt.stage["stream"].ObserveDuration(st.Stream)
 	}

@@ -201,7 +201,6 @@ func (rr *RunRequest) toConfig() (core.RunConfig, error) {
 		Seed:         rr.Seed,
 		DeferredCopy: rr.DeferredCopy,
 		PureUpdate:   rr.PureUpdate,
-		Stream:       rr.Stream,
 		IntraWorkers: rr.IntraWorkers,
 	}
 	if rr.Machine != nil {
@@ -344,8 +343,7 @@ func (sr *SweepRequest) expand() ([]sweepPoint, error) {
 			machine := *g.p
 			cfg := core.RunConfig{
 				System: sys, Scale: sr.Scale, Seed: sr.Seed,
-				Machine: &machine, Stream: sr.Stream,
-				IntraWorkers: sr.IntraWorkers,
+				Machine: &machine, IntraWorkers: sr.IntraWorkers,
 			}
 			if g.spec != nil {
 				cfg.Scenario = g.spec

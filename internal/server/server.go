@@ -428,7 +428,6 @@ func (s *Server) execute(job *Job) {
 			})
 			render := time.Since(t0)
 			s.metrics.observeRender(render)
-			agg.Build += o.Stages.Build
 			agg.Stream += o.Stages.Stream
 			agg.Simulate += o.Stages.Simulate
 			agg.Render += render

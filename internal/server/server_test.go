@@ -137,12 +137,11 @@ func TestRunJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestStreamingRun submits a streaming run and checks the service-level
-// contract: the job completes with full counters, the progress view
-// reports generation alongside simulation (gen_refs), and — because
-// Stream is an execution strategy excluded from the canonical key — a
-// later materialized submit of the same configuration dedupes onto the
-// streamed job's result.
+// TestStreamingRun submits a run carrying the deprecated "stream" field
+// and checks the service-level contract: the field is still accepted
+// (and ignored), the job completes with full counters, the progress
+// view reports generation alongside simulation (gen_refs), and a later
+// submit without the field dedupes onto the same job.
 func TestStreamingRun(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
 	body := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5,"stream":true}`, testScale)
@@ -152,19 +151,19 @@ func TestStreamingRun(t *testing.T) {
 	}
 	v := waitJob(t, ts.URL, sub.ID)
 	if v.State != JobDone {
-		t.Fatalf("streaming job finished %s (error %q), want done", v.State, v.Error)
+		t.Fatalf("job finished %s (error %q), want done", v.State, v.Error)
 	}
 	if v.Result == nil || v.Result.Refs == 0 || v.Result.Cycles == 0 {
-		t.Fatalf("empty streaming result: %+v", v.Result)
+		t.Fatalf("empty result: %+v", v.Result)
 	}
 	if v.Progress == nil || v.Progress.GenRefs != v.Progress.Refs {
 		t.Fatalf("finished progress %+v, want gen_refs == refs", v.Progress)
 	}
 
-	mat := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5}`, testScale)
-	status, again, _ := postJSON(t, ts.URL+"/v1/runs", mat)
+	plain := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5}`, testScale)
+	status, again, _ := postJSON(t, ts.URL+"/v1/runs", plain)
 	if status != http.StatusOK || !again.Deduped || again.ID != sub.ID {
-		t.Errorf("materialized submit got HTTP %d %+v, want dedup onto streamed job %s", status, again, sub.ID)
+		t.Errorf("submit without stream got HTTP %d %+v, want dedup onto job %s", status, again, sub.ID)
 	}
 }
 
@@ -254,9 +253,9 @@ func TestSweepJob(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		`{"workload":"TRFD_4","systems":["Base"]}`,                              // no grid
+		`{"workload":"TRFD_4","systems":["Base"]}`,                                   // no grid
 		`{"workload":"TRFD_4","systems":["Base"],"sizes_kb":[16],"line_sizes":[32]}`, // both grids
-		`{"workload":"TRFD_4","systems":[],"sizes_kb":[16]}`,                    // no systems
+		`{"workload":"TRFD_4","systems":[],"sizes_kb":[16]}`,                         // no systems
 	} {
 		status, _, _ := postJSON(t, ts.URL+"/v1/sweeps", bad)
 		if status != http.StatusBadRequest {
@@ -565,9 +564,10 @@ func drainServer(t *testing.T, srv *Server) {
 
 // TestJobViewStageTimings submits a fresh run and checks the stage
 // decomposition the observability layer attaches to the job view: the
-// stages are present, simulate dominates a real run, and their total
-// approximates the job's own wall clock (started→finished) — the
-// span-sum property that makes the breakdown trustworthy.
+// single execution path's stages (stream and simulate) are present, and
+// their non-overlapped total approximates the job's own wall clock
+// (started→finished) — the span-sum property that makes the breakdown
+// trustworthy.
 func TestJobViewStageTimings(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	// A fresh (workload, seed) pair so the run actually executes
@@ -585,11 +585,8 @@ func TestJobViewStageTimings(t *testing.T) {
 	if st == nil {
 		t.Fatal("done job has no stage view")
 	}
-	if st.BuildSeconds <= 0 || st.SimulateSeconds <= 0 {
-		t.Errorf("materialized run missing build/simulate: %+v", st)
-	}
-	if st.StreamSeconds != 0 {
-		t.Errorf("materialized run reports stream time: %+v", st)
+	if st.StreamSeconds <= 0 || st.SimulateSeconds <= 0 {
+		t.Errorf("run missing stream/simulate: %+v", st)
 	}
 	if st.TotalSeconds <= 0 {
 		t.Fatalf("total_seconds %v", st.TotalSeconds)
@@ -606,17 +603,6 @@ func TestJobViewStageTimings(t *testing.T) {
 	}
 	if v.QueueWaitSeconds < 0 {
 		t.Errorf("queue_wait_seconds %v", v.QueueWaitSeconds)
-	}
-
-	// A streaming run reports stream instead of build.
-	sbody := fmt.Sprintf(`{"workload":"ARC2D+Fsck","system":"Base","scale":%d,"seed":78,"stream":true}`, testScale)
-	_, sub2, _ := postJSON(t, ts.URL+"/v1/runs", sbody)
-	v2 := waitJob(t, ts.URL, sub2.ID)
-	if v2.State != JobDone || v2.Stages == nil {
-		t.Fatalf("streaming job %s, stages %+v", v2.State, v2.Stages)
-	}
-	if v2.Stages.StreamSeconds <= 0 || v2.Stages.BuildSeconds != 0 {
-		t.Errorf("streaming stage view %+v, want stream>0 and build==0", v2.Stages)
 	}
 }
 
@@ -666,7 +652,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		for _, want := range []string{
 			"# TYPE ossimd_run_stage_seconds histogram",
 			`ossimd_run_stage_seconds_bucket{stage="simulate",le="+Inf"}`,
-			`ossimd_run_stage_seconds_count{stage="build"}`,
+			`ossimd_run_stage_seconds_count{stage="stream"}`,
 			"# TYPE ossimd_jobs_done_total counter",
 			"# TYPE ossimd_queue_depth gauge",
 			"ossimd_queue_wait_seconds_count",

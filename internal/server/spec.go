@@ -71,17 +71,17 @@ func isRequestError(err error) bool {
 }
 
 // JobOptions are the execution knobs every job-submitting request
-// shares: simulation scale, the deterministic seed, the streaming
-// execution strategy, and the per-job deadline.
+// shares: simulation scale, the deterministic seed, intra-run
+// parallelism, and the per-job deadline.
 type JobOptions struct {
 	// Scale is the scheduling-round multiplier (0 = workload default).
 	Scale int `json:"scale,omitempty"`
 	// Seed drives all generation deterministically.
 	Seed int64 `json:"seed,omitempty"`
-	// Stream generates each workload concurrently with its simulation
-	// in bounded chunks. Results are byte-identical to a materialized
-	// run (the canonical key ignores this flag), so it only trades the
-	// job's peak memory and wall clock.
+	// Stream is deprecated and ignored: every run generates its
+	// workload concurrently with its simulation. The field stays
+	// decodable so existing clients that send it are not rejected as
+	// sending an unknown field.
 	Stream bool `json:"stream,omitempty"`
 	// IntraWorkers advances the processors of each single simulation
 	// concurrently on this many worker goroutines. Results are

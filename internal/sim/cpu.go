@@ -14,8 +14,12 @@ type invalRecord struct {
 
 // cpuState is one simulated processor with its private hierarchy.
 type cpuState struct {
-	id  int
-	src trace.Source
+	id int
+	// src supplies the processor's trace a chunk at a time; buf is the
+	// current chunk and pos the cursor of the next reference in it.
+	src trace.Chunker
+	buf []trace.Ref
+	pos int
 	// time is the processor's local clock in CPU cycles.
 	time uint64
 	done bool
@@ -84,7 +88,7 @@ const emptyReg = ^uint64(0)
 func newCPU(id int, p Params, src trace.Source) *cpuState {
 	c := &cpuState{
 		id:             id,
-		src:            src,
+		src:            trace.Chunked(src),
 		l1i:            cache.New(p.L1I),
 		l1d:            cache.New(p.L1D),
 		l2:             cache.New(p.L2),
@@ -109,6 +113,14 @@ func newCPU(id int, p Params, src trace.Source) *cpuState {
 		})
 	}
 	return c
+}
+
+// refill loads the processor's next trace chunk into buf, reporting
+// false at the end of the trace.
+func (c *cpuState) refill() bool {
+	buf, ok := c.src.NextChunk()
+	c.buf, c.pos = buf, 0
+	return ok
 }
 
 // modeOf converts a trace kind to a stats mode index.

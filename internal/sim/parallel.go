@@ -97,49 +97,38 @@ func (s *Simulator) intraEligible() bool {
 	return s.p.IntraWorkers > 1 && s.obs == nil && s.conflicts == nil && len(s.cpus) >= 2
 }
 
-// lookahead buffers references pulled from a source so the pre-scan can
-// inspect a window's work before any of it executes. It wraps the
-// processor's source for the whole run: the serial-window path consumes
-// the same buffer through Next, so no reference is ever lost or
-// reordered between the two engines.
+// lookahead extends a processor's trace cursor so the pre-scan can
+// inspect a window's work before any of it executes. fill copies the
+// unconsumed rest of the processor's current chunk, plus as many
+// further chunks as the scan needs, into storage the lookahead owns and
+// points the processor's buffer at it. The serial step loop and the
+// window workers then consume that one buffer, so no reference is ever
+// lost or reordered between the two engines — and because every chunk
+// is copied before the next NextChunk call, a source that recycles its
+// previous chunk on that call (trace.ChunkSource) stays safe.
 type lookahead struct {
-	inner trace.Source
-	refs  []trace.Ref
-	pos   int
-	eof   bool
+	refs []trace.Ref
+	eof  bool
 }
 
-// Next implements trace.Source: buffered references first, then the
-// inner source.
-func (b *lookahead) Next() (trace.Ref, bool) {
-	if b.pos < len(b.refs) {
-		r := b.refs[b.pos]
-		b.pos++
-		return r, true
+// fill ensures up to n unconsumed references are buffered in c.buf
+// from c.pos on and returns how many are available — fewer than n only
+// at end of stream.
+func (b *lookahead) fill(c *cpuState, n int) int {
+	if len(c.buf)-c.pos >= n || b.eof {
+		return len(c.buf) - c.pos
 	}
-	if b.eof {
-		return trace.Ref{}, false
-	}
-	return b.inner.Next()
-}
-
-// fill ensures up to n unconsumed references are buffered, compacting
-// consumed ones first, and returns how many are available — fewer than
-// n only at end of stream.
-func (b *lookahead) fill(n int) int {
-	if b.pos > 0 {
-		b.refs = b.refs[:copy(b.refs, b.refs[b.pos:])]
-		b.pos = 0
-	}
-	for len(b.refs) < n && !b.eof {
-		r, ok := b.inner.Next()
+	b.refs = append(b.refs[:0], c.buf[c.pos:]...)
+	for len(b.refs) < n {
+		chunk, ok := c.src.NextChunk()
 		if !ok {
 			b.eof = true
 			break
 		}
-		b.refs = append(b.refs, r)
+		b.refs = append(b.refs, chunk...)
 	}
-	return len(b.refs)
+	c.buf, c.pos = b.refs, 0
+	return len(c.buf)
 }
 
 // intraScan is one processor's record in a window plan.
@@ -156,8 +145,7 @@ type intraScan struct {
 // intraRunner is the per-run state of the parallel engine.
 type intraRunner struct {
 	s *Simulator
-	// las are the per-processor lookahead wrappers (also installed as
-	// the processors' sources).
+	// las are the per-processor lookahead buffers.
 	las []*lookahead
 	// clones are per-processor shallow Simulator copies: workers write
 	// counters into their clone's private stats record (and drain-mask
@@ -197,10 +185,8 @@ func (s *Simulator) runParallel(ctx context.Context) (*Result, error) {
 		inExec:  make([]bool, len(s.cpus)),
 		backoff: 1,
 	}
-	for i, c := range s.cpus {
-		la := &lookahead{inner: c.src}
-		c.src = la
-		r.las[i] = la
+	for i := range s.cpus {
+		r.las[i] = &lookahead{}
 	}
 	for {
 		select {
@@ -369,13 +355,13 @@ func (r *intraRunner) planWindow(T uint64) (uint64, bool) {
 			if want := int(horizon - sc.t0); limit > want {
 				limit = want
 			}
-			la := r.las[sc.id]
-			avail := la.fill(limit)
+			la, c := r.las[sc.id], s.cpus[sc.id]
+			avail := la.fill(c, limit)
 			if avail > limit {
 				avail = limit
 			}
 			for sc.elig < avail {
-				if !r.eligibleRef(s.cpus[sc.id], &la.refs[sc.elig]) {
+				if !r.eligibleRef(c, &c.buf[c.pos+sc.elig]) {
 					sc.closed = true
 					if bound := sc.t0 + uint64(sc.elig); bound < horizon {
 						horizon = bound
@@ -384,7 +370,7 @@ func (r *intraRunner) planWindow(T uint64) (uint64, bool) {
 				}
 				sc.elig++
 			}
-			if !sc.closed && la.eof && sc.elig == len(la.refs) {
+			if !sc.closed && la.eof && sc.elig == len(c.buf)-c.pos {
 				// End of trace: nothing beyond to bound the horizon.
 				sc.closed = true
 			}
@@ -522,15 +508,15 @@ func (r *intraRunner) execWindow(idx int, horizon uint64) {
 	limit := r.execElig[idx]
 	w := r.clones[id]
 	c := s.cpus[id]
-	la := r.las[id]
-	for c.time < horizon && la.pos < limit {
-		rf := la.refs[la.pos]
-		la.pos++
+	end := c.pos + limit
+	for c.time < horizon && c.pos < end {
+		rf := c.buf[c.pos]
+		c.pos++
 		w.refs++
 		c.refs++
 		w.exec(c, rf)
 	}
-	if c.time < horizon && la.pos == len(la.refs) && la.eof {
+	if c.time < horizon && c.pos == len(c.buf) && r.las[id].eof {
 		c.done = true
 	}
 	w.advanceDrainsUntil(c, horizon)

@@ -111,7 +111,10 @@ type Result struct {
 // lock or barrier — a malformed trace.
 var ErrDeadlock = errors.New("sim: deadlock: all unfinished processors blocked")
 
-// New builds a simulator over one source per processor.
+// New builds a simulator over one source per processor. Sources that
+// hand out chunks (trace.Chunker) are read in place; any other Source
+// is wrapped once in trace.Chunked's small buffering adapter, so the
+// step loop has one code path.
 func New(p Params, sources []trace.Source) (*Simulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -391,12 +394,13 @@ func (s *Simulator) step(c *cpuState) {
 			}
 		}
 	}
-	r, ok := c.src.Next()
-	if !ok {
+	if c.pos == len(c.buf) && !c.refill() {
 		c.done = true
 		s.finishBlock(c)
 		return
 	}
+	r := c.buf[c.pos]
+	c.pos++
 	s.refs++
 	c.refs++
 	if s.obs != nil {

@@ -11,9 +11,9 @@ import (
 // The workload generator flushes fixed-size chunks of refs into the
 // pipeline as it produces them; the simulator pulls them back out
 // through ChunkSource values (one per CPU) that implement the ordinary
-// Source interface. Generation therefore overlaps simulation, and the
-// peak trace memory is O(NumCPUs × chunk budget) instead of O(total
-// trace length).
+// Source and Chunker interfaces. Generation therefore overlaps
+// simulation, and the peak trace memory is O(NumCPUs × chunk budget)
+// instead of O(total trace length).
 //
 // Deadlock freedom. The producer generates rounds CPU-by-CPU while the
 // simulator consumes in global-time order, so their per-CPU positions
@@ -246,8 +246,9 @@ func (p *ChunkPipeline) Source(cpu int) *ChunkSource {
 	return &ChunkSource{p: p, cpu: cpu}
 }
 
-// ChunkSource adapts one pipeline queue to the Source interface,
-// returning exhausted chunks to the trace pool as it advances.
+// ChunkSource adapts one pipeline queue to the Source and Chunker
+// interfaces, returning exhausted chunks to the trace pool as it
+// advances.
 type ChunkSource struct {
 	p   *ChunkPipeline
 	cpu int
@@ -267,6 +268,27 @@ func (s *ChunkSource) Ready() bool {
 	s.p.mu.Lock()
 	defer s.p.mu.Unlock()
 	return s.p.queued(s.cpu) > 0 || s.p.closed || s.p.aborted
+}
+
+// NextChunk implements Chunker. It returns the unread rest of the
+// current chunk, or else recycles the current chunk to the trace pool
+// and receives the next one, blocking as Next does.
+func (s *ChunkSource) NextChunk() ([]Ref, bool) {
+	if s.pos < len(s.cur) {
+		rest := s.cur[s.pos:]
+		s.pos = len(s.cur)
+		return rest, true
+	}
+	if s.cur != nil {
+		PutBatch(s.cur)
+		s.cur = nil
+	}
+	chunk, ok := s.p.recv(s.cpu)
+	if !ok {
+		return nil, false
+	}
+	s.cur, s.pos = chunk, len(chunk)
+	return chunk, true
 }
 
 // Next implements Source.

@@ -173,3 +173,55 @@ func TestChunkPipelineConcurrent(t *testing.T) {
 		t.Fatalf("Sent = %d, want %d", got, chunks*per*cpus)
 	}
 }
+
+// TestChunkSourceNextChunk checks the chunked consumer endpoint: it
+// delivers queued chunks whole (after any part Next already read),
+// returns the previous chunk to the trace pool on the next call, and
+// reports the end of the stream.
+func TestChunkSourceNextChunk(t *testing.T) {
+	// Distinctive capacities make the chunks recognizable in the pool.
+	const capA, capB = 4093, 4091
+	a := append(make([]Ref, 0, capA), Ref{Addr: 1}, Ref{Addr: 2}, Ref{Addr: 3})
+	b := append(make([]Ref, 0, capB), Ref{Addr: 4})
+	p := NewChunkPipeline(1, 0)
+	p.Send(0, a)
+	p.Send(0, b)
+	p.Close()
+	s := p.Source(0)
+	if r, ok := s.Next(); !ok || r.Addr != 1 {
+		t.Fatalf("Next() = %v, %v", r, ok)
+	}
+	chunk, ok := s.NextChunk()
+	if !ok || len(chunk) != 2 || chunk[0].Addr != 2 {
+		t.Fatalf("NextChunk() = %v, %v; want the rest of the first chunk", chunk, ok)
+	}
+	chunk, ok = s.NextChunk()
+	if !ok || len(chunk) != 1 || chunk[0].Addr != 4 {
+		t.Fatalf("NextChunk() = %v, %v; want the second chunk", chunk, ok)
+	}
+	if got := GetBatch(capA); cap(got) != capA || &got[:1][0] != &a[0] {
+		t.Fatal("first chunk was not returned to the pool")
+	}
+	if chunk, ok := s.NextChunk(); ok || chunk != nil {
+		t.Fatalf("NextChunk() at end of stream = %v, %v", chunk, ok)
+	}
+	if got := GetBatch(capB); cap(got) != capB || &got[:1][0] != &b[0] {
+		t.Fatal("last chunk was not returned to the pool at end of stream")
+	}
+	if _, ok := s.NextChunk(); ok {
+		t.Fatal("NextChunk() after the end returned a chunk")
+	}
+}
+
+// TestChunkPipelineAbortRecyclesQueued checks that Abort hands every
+// chunk still queued back to the trace pool.
+func TestChunkPipelineAbortRecyclesQueued(t *testing.T) {
+	const capA = 4079
+	a := append(make([]Ref, 0, capA), Ref{Addr: 1})
+	p := NewChunkPipeline(2, 0)
+	p.Send(1, a)
+	p.Abort()
+	if got := GetBatch(capA); cap(got) != capA || &got[:1][0] != &a[0] {
+		t.Fatal("Abort did not return the queued chunk to the pool")
+	}
+}

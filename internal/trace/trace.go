@@ -247,8 +247,57 @@ type Source interface {
 	Next() (Ref, bool)
 }
 
+// Chunker hands out a reference stream a chunk at a time, so a
+// consumer can index references in place instead of paying one
+// interface call per reference. NextChunk returns the next non-empty
+// chunk and true, or nil and false at the end of the stream and on
+// every call after it. The chunk belongs to the Chunker and stays
+// valid only until the next call; the consumer must not modify it.
+type Chunker interface {
+	NextChunk() ([]Ref, bool)
+}
+
+// chunkerBuffer is the number of references the Chunked adapter pulls
+// from a plain Source per chunk.
+const chunkerBuffer = 256
+
+// Chunked returns src as a Chunker: src itself when it already hands
+// out chunks (SliceSource, ChunkSource), otherwise src behind a small
+// buffering adapter that fills a fixed buffer through Next. The
+// adapter reads ahead of its consumer by at most one buffer.
+func Chunked(src Source) Chunker {
+	if c, ok := src.(Chunker); ok {
+		return c
+	}
+	return &bufferedSource{src: src, buf: make([]Ref, 0, chunkerBuffer)}
+}
+
+// bufferedSource adapts a plain Source to Chunker; see Chunked.
+type bufferedSource struct {
+	src Source
+	buf []Ref
+	eof bool
+}
+
+// NextChunk implements Chunker.
+func (b *bufferedSource) NextChunk() ([]Ref, bool) {
+	b.buf = b.buf[:0]
+	for !b.eof && len(b.buf) < cap(b.buf) {
+		r, ok := b.src.Next()
+		if !ok {
+			b.eof = true
+			break
+		}
+		b.buf = append(b.buf, r)
+	}
+	if len(b.buf) == 0 {
+		return nil, false
+	}
+	return b.buf, true
+}
+
 // SliceSource adapts an in-memory slice of references to the Source
-// interface.
+// and Chunker interfaces.
 type SliceSource struct {
 	refs []Ref
 	pos  int
@@ -265,6 +314,16 @@ func (s *SliceSource) Next() (Ref, bool) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, true
+}
+
+// NextChunk implements Chunker: the whole unread rest of the slice.
+func (s *SliceSource) NextChunk() ([]Ref, bool) {
+	if s.pos >= len(s.refs) {
+		return nil, false
+	}
+	rest := s.refs[s.pos:]
+	s.pos = len(s.refs)
+	return rest, true
 }
 
 // Reset rewinds the source to the beginning of the slice.

@@ -329,3 +329,70 @@ func TestSplitByCPU(t *testing.T) {
 		t.Errorf("cpu2/3 streams = %v / %v", per[2], per[3])
 	}
 }
+
+func TestSliceSourceNextChunk(t *testing.T) {
+	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}}
+	s := NewSliceSource(refs)
+	if r, ok := s.Next(); !ok || r.Addr != 1 {
+		t.Fatalf("Next() = %v, %v", r, ok)
+	}
+	// NextChunk hands out the unread rest in place, without copying.
+	chunk, ok := s.NextChunk()
+	if !ok || !reflect.DeepEqual(chunk, refs[1:]) || &chunk[0] != &refs[1] {
+		t.Fatalf("NextChunk() = %v, %v; want a view of %v", chunk, ok, refs[1:])
+	}
+	for i := 0; i < 2; i++ {
+		if chunk, ok := s.NextChunk(); ok || chunk != nil {
+			t.Fatalf("NextChunk() after exhaustion = %v, %v", chunk, ok)
+		}
+	}
+	s.Reset()
+	if chunk, ok := s.NextChunk(); !ok || !reflect.DeepEqual(chunk, refs) {
+		t.Fatalf("after Reset, NextChunk() = %v, %v", chunk, ok)
+	}
+	if _, ok := NewSliceSource(nil).NextChunk(); ok {
+		t.Fatal("empty SliceSource returned a chunk")
+	}
+}
+
+func TestChunkedAdapter(t *testing.T) {
+	s := NewSliceSource([]Ref{{Addr: 1}})
+	if Chunked(s) != Chunker(s) {
+		t.Fatal("Chunked wrapped a source that already hands out chunks")
+	}
+	// A plain Source yields its stream in full buffers, then the tail,
+	// then end of stream on every later call — without being asked
+	// for more once it has reported the end.
+	const n = 2*chunkerBuffer + 3
+	i, calls := 0, 0
+	src := FuncSource(func() (Ref, bool) {
+		calls++
+		if i == n {
+			return Ref{}, false
+		}
+		i++
+		return Ref{Addr: uint64(i)}, true
+	})
+	c := Chunked(src)
+	var got []Ref
+	for _, want := range []int{chunkerBuffer, chunkerBuffer, 3} {
+		chunk, ok := c.NextChunk()
+		if !ok || len(chunk) != want {
+			t.Fatalf("NextChunk() = %d refs, %v; want %d", len(chunk), ok, want)
+		}
+		got = append(got, chunk...)
+	}
+	for k := 0; k < 2; k++ {
+		if chunk, ok := c.NextChunk(); ok || len(chunk) != 0 {
+			t.Fatalf("NextChunk() after the end = %d refs, %v", len(chunk), ok)
+		}
+	}
+	if calls != n+1 {
+		t.Fatalf("source's Next called %d times, want %d", calls, n+1)
+	}
+	for k, r := range got {
+		if r.Addr != uint64(k+1) {
+			t.Fatalf("ref %d has addr %d, want %d", k, r.Addr, k+1)
+		}
+	}
+}

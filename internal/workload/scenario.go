@@ -6,7 +6,6 @@ import (
 
 	"oscachesim/internal/kernel"
 	"oscachesim/internal/scenario"
-	"oscachesim/internal/trace"
 )
 
 // Scenario-driven builds. BuildSpec and StreamSpec are the
@@ -45,23 +44,7 @@ func BuildSpec(spec *scenario.Spec, opt kernel.OptConfig, scale int, seed int64,
 	if err != nil {
 		return nil, err
 	}
-	for c := 0; c < ncpus; c++ {
-		g.ems[c] = &kernel.Emitter{CPU: uint8(c), Refs: trace.GetBatch(1 << 14)}
-	}
-	total := g.scen.TotalRounds()
-	for round := 0; round < total; round++ {
-		g.specRound(round)
-		if round == 0 && total > 1 {
-			// As in BuildN: the first round sizes the rest.
-			for c := 0; c < ncpus; c++ {
-				g.ems[c].Reserve(len(g.ems[c].Refs) * (total - 1) * 11 / 10)
-			}
-		}
-	}
-	per := make([][]trace.Ref, ncpus)
-	for c := 0; c < ncpus; c++ {
-		per[c] = g.ems[c].Refs
-	}
+	per := g.collect(g.scen.TotalRounds(), g.specRound)
 	return &Built{Name: SpecWorkloadName(spec), PerCPU: per, Kernel: k, released: new(bool)}, nil
 }
 

@@ -8,15 +8,15 @@ import (
 	"oscachesim/internal/trace"
 )
 
-// Streaming workload generation. Stream runs the same generator as
-// Build on a producer goroutine, but instead of materializing the
-// whole trace it hands fixed-size pooled chunks to a
+// Streaming workload generation, the way every simulation run gets its
+// trace. Stream runs the generator's round loop (drive) on a producer
+// goroutine and hands its fixed-size pooled chunks to a
 // trace.ChunkPipeline as they fill. The simulator consumes the
 // pipeline's per-CPU ChunkSources concurrently, so generation overlaps
 // simulation and peak trace memory is O(NumCPUs × budget) instead of
-// O(scale). The generator itself is untouched — both paths drive the
-// identical round loop with identical RNG streams, so the reference
-// sequences (and therefore the simulated reports) are byte-identical.
+// O(scale). Build runs the same loop synchronously and appends the
+// chunks into one in-memory trace per CPU, so both produce
+// byte-identical reference sequences.
 
 // DefaultChunkRefs is the per-chunk reference count when StreamOptions
 // does not choose. At the default profile rates one chunk is roughly
@@ -112,10 +112,10 @@ func chunkSize(sopt StreamOptions) int {
 	return DefaultChunkRefs
 }
 
-// pump runs a generator round loop on the producer goroutine,
-// flushing chunks into the pipeline. mk builds the generator and
-// returns the round count and per-round function — the classic
-// profile loop and the scenario loop differ only there. pump always
+// pump runs the generator round loop (drive) on the producer
+// goroutine, flushing chunks into the pipeline. mk builds the
+// generator and returns the round count and per-round function — the
+// classic profile loop and the scenario loop differ only there. pump always
 // closes the pipeline and the done channel, even on panic, so
 // consumers never hang on a dead producer.
 func (st *Streamed) pump(chunk int, sopt StreamOptions, mk func() (*generator, int, func(int))) {
@@ -130,38 +130,23 @@ func (st *Streamed) pump(chunk int, sopt StreamOptions, mk func() (*generator, i
 
 	g, rounds, roundFn := mk()
 	aborted := false
-	for c := 0; c < st.n; c++ {
-		cpu := c
-		g.ems[c] = &kernel.Emitter{
-			CPU:     uint8(c),
-			Refs:    trace.GetBatch(chunk),
-			FlushAt: chunk,
-			Flush: func(refs []trace.Ref) []trace.Ref {
-				if aborted {
-					return refs[:0]
-				}
-				if !st.pipe.Send(cpu, refs) {
-					// Consumer aborted: discard in place and keep
-					// reusing this one buffer so the rest of the round
-					// generates into it without queueing anywhere.
-					aborted = true
-					return refs[:0]
-				}
-				return trace.GetBatch(chunk)
-			},
-		}
-	}
-
-	var projected uint64
-	for round := 0; round < rounds; round++ {
-		roundFn(round)
-		// Flush every emitter at the round boundary so a consumer never
-		// starves on references that are generated but still buffered.
-		for c := 0; c < st.n; c++ {
-			g.ems[c].FlushPending()
-		}
+	flush := func(cpu int, refs []trace.Ref) []trace.Ref {
 		if aborted {
-			return
+			return refs[:0]
+		}
+		if !st.pipe.Send(cpu, refs) {
+			// Consumer aborted: discard in place and keep reusing this
+			// one buffer so the rest of the round generates into it
+			// without queueing anywhere.
+			aborted = true
+			return refs[:0]
+		}
+		return trace.GetBatch(chunk)
+	}
+	var projected uint64
+	g.drive(rounds, roundFn, chunk, flush, func(round int) bool {
+		if aborted {
+			return false
 		}
 		if round == 0 {
 			// Rounds are statistically alike; the first one projects
@@ -175,13 +160,8 @@ func (st *Streamed) pump(chunk int, sopt StreamOptions, mk func() (*generator, i
 			n, _ := st.pipe.Stalls()
 			sopt.OnStalls(n)
 		}
-	}
-	// The final buffers were flushed at the last round boundary; return
-	// the (now empty) emit buffers to the pool.
-	for c := 0; c < st.n; c++ {
-		trace.PutBatch(g.ems[c].Refs)
-		g.ems[c].Refs = nil
-	}
+		return true
+	})
 }
 
 // Sources returns the per-CPU consumer endpoints. Unlike

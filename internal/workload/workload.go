@@ -115,34 +115,71 @@ func BuildN(name Name, opt kernel.OptConfig, scale int, seed int64, ncpus int) *
 	if scale <= 0 {
 		scale = DefaultScale
 	}
-	p := ProfileFor(name)
 	k := kernel.New(opt)
-	g := newGenerator(p, k, seed, ncpus)
-	for c := 0; c < ncpus; c++ {
-		g.ems[c] = &kernel.Emitter{CPU: uint8(c), Refs: trace.GetBatch(1 << 14)}
+	g := newGenerator(ProfileFor(name), k, seed, ncpus)
+	return &Built{Name: name, PerCPU: g.collect(scale, g.round), Kernel: k, released: new(bool)}
+}
+
+// collect runs the round loop synchronously — the same loop Stream's
+// producer runs — appending each CPU's flushed chunks to one pooled
+// batch per CPU and reusing the emit buffer.
+func (g *generator) collect(rounds int, roundFn func(int)) [][]trace.Ref {
+	per := make([][]trace.Ref, g.n)
+	g.drive(rounds, roundFn, DefaultChunkRefs, func(cpu int, refs []trace.Ref) []trace.Ref {
+		per[cpu] = appendPooled(per[cpu], refs)
+		return refs[:0]
+	}, nil)
+	return per
+}
+
+// appendPooled appends src to dst, growing dst by doubling into pooled
+// batches (the outgrown batch returns to the pool), so repeated builds
+// recycle their backing arrays.
+func appendPooled(dst, src []trace.Ref) []trace.Ref {
+	if cap(dst)-len(dst) < len(src) {
+		grown := append(trace.GetBatch(2*cap(dst)+len(src)), dst...)
+		trace.PutBatch(dst)
+		dst = grown
 	}
-	for round := 0; round < scale; round++ {
-		g.round(round)
-		if round == 0 && scale > 1 {
-			// Rounds are statistically alike, so the first round sizes
-			// the rest: reserve the remaining capacity (plus 10% slack)
-			// in one step instead of a doubling cascade of copies.
-			for c := 0; c < ncpus; c++ {
-				g.ems[c].Reserve(len(g.ems[c].Refs) * (scale - 1) * 11 / 10)
-			}
+	return append(dst, src...)
+}
+
+// drive is the one generation loop: it runs rounds scheduling rounds
+// through roundFn with every CPU's emitter flushing to flush(cpu, refs)
+// whenever it holds chunk references and again at each round boundary,
+// so a consumer never starves on references that are generated but
+// still buffered. flush returns the buffer to keep emitting into.
+// after, when non-nil, runs once each round has been flushed and stops
+// the loop by returning false. drive returns the (empty) emit buffers
+// to the trace pool.
+func (g *generator) drive(rounds int, roundFn func(int), chunk int, flush func(cpu int, refs []trace.Ref) []trace.Ref, after func(round int) bool) {
+	for c := 0; c < g.n; c++ {
+		cpu := c
+		g.ems[c] = &kernel.Emitter{
+			CPU:     uint8(c),
+			Refs:    trace.GetBatch(chunk),
+			FlushAt: chunk,
+			Flush:   func(refs []trace.Ref) []trace.Ref { return flush(cpu, refs) },
 		}
 	}
-	per := make([][]trace.Ref, ncpus)
-	for c := 0; c < ncpus; c++ {
-		per[c] = g.ems[c].Refs
+	for round := 0; round < rounds; round++ {
+		roundFn(round)
+		for c := 0; c < g.n; c++ {
+			g.ems[c].FlushPending()
+		}
+		if after != nil && !after(round) {
+			break
+		}
 	}
-	return &Built{Name: name, PerCPU: per, Kernel: k, released: new(bool)}
+	for c := 0; c < g.n; c++ {
+		trace.PutBatch(g.ems[c].Refs)
+		g.ems[c].Refs = nil
+	}
 }
 
 // newGenerator builds the generator state shared by BuildN and the
 // streaming producer: per-CPU RNGs, process assignments and the
-// global service-plan RNG. Emitters are left for the caller, whose
-// flush policies differ.
+// global service-plan RNG. Emitters are installed by drive.
 func newGenerator(p Profile, k *kernel.Kernel, seed int64, ncpus int) *generator {
 	g := &generator{
 		p:      p,

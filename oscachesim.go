@@ -188,7 +188,7 @@ func WithParallelism(p int) Option { return func(s *Sim) { s.workers = p } }
 // intra-run determinism tier — so this only trades wall clock; the
 // attainable speedup is bounded by how much of the workload's
 // reference stream is window-local (see EXPERIMENTS.md). 0 or 1 means
-// serial. Composes with [WithStreaming] and [WithParallelism].
+// serial. Composes with [WithParallelism].
 func WithIntraParallelism(n int) Option {
 	return func(s *Sim) { s.cfg.IntraWorkers = n }
 }
@@ -205,18 +205,15 @@ func WithScenario(spec *Scenario) Option {
 	return func(s *Sim) { s.cfg.Scenario = spec }
 }
 
-// WithStreaming generates the workload concurrently with the
-// simulation in bounded chunks, so peak trace memory stays
-// O(chunk budget) no matter how large WithScale is. Results are
-// byte-identical to the materialized default; only memory and wall
-// clock change.
-func WithStreaming() Option { return func(s *Sim) { s.cfg.Stream = true } }
-
 // WithConfig replaces the whole run configuration (study knobs like
 // DeferredCopy or PureUpdate); options applied after it still take
 // effect.
 func WithConfig(cfg RunConfig) Option {
-	return func(s *Sim) { w, sys := s.cfg.Workload, s.cfg.System; s.cfg = cfg; s.cfg.Workload, s.cfg.System = w, sys }
+	return func(s *Sim) {
+		w, sys := s.cfg.Workload, s.cfg.System
+		s.cfg = cfg
+		s.cfg.Workload, s.cfg.System = w, sys
+	}
 }
 
 // New builds a simulation of workload w under system s.
@@ -246,7 +243,7 @@ func (s *Sim) Run(ctx context.Context) (*Outcome, error) { return core.Run(ctx, 
 func (s *Sim) Compare(ctx context.Context, systems ...System) ([]*Outcome, error) {
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
 		Scale: s.cfg.Scale, Seed: s.cfg.Seed, Parallel: true, Workers: s.workers,
-		Stream: s.cfg.Stream, IntraWorkers: s.cfg.IntraWorkers,
+		IntraWorkers: s.cfg.IntraWorkers,
 	})
 	cfgs := make([]core.RunConfig, len(systems))
 	for i, sys := range systems {
