@@ -58,14 +58,12 @@ func main() {
 		maxCells = flag.Int("maxcells", 0, "grid-size bound (0 = the default 256)")
 		parallel = flag.Bool("parallel", true, "fan unique cells across workers")
 		workers  = flag.Int("workers", 0, "worker count when parallel (0 = GOMAXPROCS)")
-		intraW   = flag.Int("intra-workers", 0, "advance processors of each single run concurrently on this many workers (byte-identical output; 0 or 1 = serial)")
 		verbose  = flag.Bool("v", false, "print per-cell coordinates and raw metrics")
 	)
 	flag.Parse()
 
 	g := campaign.Grid{
 		L2Line: *l2line, Scale: *scale, Seed: *seed, MaxCells: *maxCells,
-		IntraWorkers: *intraW,
 	}
 	if *scnArg != "" {
 		spec, err := scenario.Resolve(*scnArg)
@@ -128,7 +126,6 @@ func main() {
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
 		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers,
-		IntraWorkers: *intraW,
 	})
 
 	fmt.Fprintf(os.Stderr, "campaign: %d cells (%d unique) across axes %v\n",

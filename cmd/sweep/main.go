@@ -51,7 +51,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		parallel = flag.Bool("parallel", true, "fan grid points across workers (output is identical to serial)")
 		workers  = flag.Int("workers", 0, "worker count when parallel (0 = GOMAXPROCS)")
-		intraW   = flag.Int("intra-workers", 0, "advance processors of each single run concurrently on this many workers (byte-identical output; 0 or 1 = serial)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 		verbose  = flag.Bool("v", false, "append per-worker scheduler stats (busy/idle time, runs, steals)")
@@ -171,7 +170,7 @@ func main() {
 		p := pt.p
 		cfg := core.RunConfig{
 			System: sys, Scale: *scale, Seed: *seed,
-			Machine: &p, IntraWorkers: *intraW,
+			Machine: &p,
 		}
 		if pt.spec != nil {
 			cfg.Scenario = pt.spec
@@ -185,7 +184,6 @@ func main() {
 	defer stop()
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
 		Scale: *scale, Seed: *seed, Parallel: *parallel, Workers: *workers,
-		IntraWorkers: *intraW,
 	})
 
 	// Warm the whole grid through the work-stealing scheduler, then

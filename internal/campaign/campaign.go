@@ -99,11 +99,9 @@ type Grid struct {
 	// Base optionally overrides the base machine at every cell; nil
 	// means the paper's machine.
 	Base *sim.Params
-	// Scale, Seed and IntraWorkers apply to every cell
-	// (core.RunConfig).
-	Scale        int
-	Seed         int64
-	IntraWorkers int
+	// Scale and Seed apply to every cell (core.RunConfig).
+	Scale int
+	Seed  int64
 	// MaxCells bounds the expanded grid (0 = DefaultMaxCells).
 	MaxCells int
 }
@@ -284,7 +282,7 @@ func (g *Grid) Expand() ([]Cell, error) {
 							}
 							for _, sys := range g.Systems {
 								cfg := core.RunConfig{
-									System: sys, Scale: g.Scale, Seed: g.Seed, IntraWorkers: g.IntraWorkers,
+									System: sys, Scale: g.Scale, Seed: g.Seed,
 								}
 								if machineAxes {
 									machine := p

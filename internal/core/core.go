@@ -173,15 +173,7 @@ type RunConfig struct {
 	// primary-cache eviction is attributed to the (evictor, victim)
 	// data-structure pair.
 	TrackConflicts bool
-	// IntraWorkers > 1 runs the single simulation itself on multiple
-	// goroutines: processors advance concurrently through bounded time
-	// windows the simulator proves free of cross-processor coherence
-	// traffic, with serial fallback for every other window (see
-	// internal/sim/parallel.go). Results are byte-identical to serial —
-	// pinned by the intra-parallel determinism tier — so it is an
-	// execution strategy excluded from CanonicalKey. It composes with
-	// experiment.Config.Parallel (which parallelizes across runs;
-	// multiply the two widths with care).
+	// Deprecated: ignored; every run is serial.
 	IntraWorkers int
 	// Monitor, when non-nil, is called with the freshly built simulator
 	// before Run starts, letting callers attach an observer (the
@@ -297,7 +289,6 @@ func machineParams(cfg RunConfig) sim.Params {
 	if cfg.Progress != nil {
 		p.Progress = cfg.Progress
 	}
-	p.IntraWorkers = cfg.IntraWorkers
 	return p
 }
 

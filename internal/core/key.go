@@ -25,12 +25,9 @@ const SimVersion = "oscachesim/sim/v1"
 // deduplicate and cache on, across processes and restarts.
 //
 // Runtime plumbing (Monitor, Progress) is excluded — it cannot change
-// results. IntraWorkers is excluded for the same reason: the intra-run
-// parallel engine is pinned byte-identical to the serial engine by its
-// own determinism tier. The Machine's Attrs and
-// RegionNamer are also excluded: Run derives both from hashed fields
-// (System, UpdateSet, PureUpdate, TrackConflicts), overwriting
-// whatever the caller supplied.
+// results. The Machine's Attrs and RegionNamer are also excluded: Run
+// derives both from hashed fields (System, UpdateSet, PureUpdate,
+// TrackConflicts), overwriting whatever the caller supplied.
 //
 // Scale and Seed are hashed after the same normalization Run applies
 // (Seed 0 means 1). Scale 0 means "workload default" and hashes as 0:

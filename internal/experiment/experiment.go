@@ -35,12 +35,6 @@ type Config struct {
 	// Workers is the scheduler width when Parallel is set; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// IntraWorkers runs each single simulation on this many worker
-	// goroutines (core.RunConfig.IntraWorkers): processors advance
-	// concurrently through provably conflict-free time windows, byte-
-	// identical to the serial engine. 0 or 1 means serial. Orthogonal
-	// to Parallel/Workers, which fan out across simulations.
-	IntraWorkers int
 	// Compute, when non-nil, replaces core.Run as the execution of a
 	// cache miss. It runs beneath the memo and singleflight layers, so
 	// a caller (the ossimd cluster mode) can extend the dedup chain —
@@ -160,7 +154,6 @@ func (r *Runner) configFor(w workload.Name, sys core.System) core.RunConfig {
 	return core.RunConfig{
 		Workload: w, System: sys,
 		Scale: r.cfg.Scale, Seed: r.cfg.Seed,
-		IntraWorkers: r.cfg.IntraWorkers,
 	}
 }
 

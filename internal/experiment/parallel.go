@@ -163,15 +163,16 @@ func (r *Runner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog
 		firstErr error
 	)
 	// Each worker writes only its own stats slot, so the accounting adds
-	// no synchronization to the scheduling loop.
+	// no synchronization to the scheduling loop. Idle is settled after
+	// the join against one shared start, so it includes each worker's
+	// tail wait for the slowest one.
 	sched := make([]WorkerStats, n)
+	start := time.Now()
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
-			start := time.Now()
 			ws := &sched[self]
-			defer func() { ws.Idle = time.Since(start) - ws.Busy }()
 			for {
 				idx, ok := deques[self].popBottom()
 				stolen := false
@@ -205,6 +206,10 @@ func (r *Runner) RunConfigsEach(ctx context.Context, cfgs []core.RunConfig, prog
 		}(w)
 	}
 	wg.Wait()
+	wall := time.Since(start)
+	for i := range sched {
+		sched[i].Idle = wall - sched[i].Busy
+	}
 	r.recordSched(sched)
 	if firstErr != nil {
 		return nil, firstErr

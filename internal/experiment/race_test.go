@@ -46,9 +46,11 @@ func TestRunnerParallelWarmUp(t *testing.T) {
 
 // TestSchedulerStats pins the per-worker accounting contract: after a
 // RunConfigs call the Runner reports one WorkerStats entry per worker,
-// the run counts add up to the executed work, and busy time is
-// nonzero wherever runs happened. Exercised in parallel and serial
-// form (the serial path reports a single worker).
+// the run counts add up to the executed work, busy time is nonzero
+// wherever runs happened, and every worker's Busy+Idle spans the same
+// wall clock (Idle includes the tail wait for the slowest worker).
+// Exercised in parallel and serial form (the serial path reports a
+// single worker).
 func TestSchedulerStats(t *testing.T) {
 	r := NewRunner(Config{Scale: 3, Seed: 1, Parallel: true, Workers: 2})
 	if r.LastSchedulerStats() != nil {
@@ -79,6 +81,11 @@ func TestSchedulerStats(t *testing.T) {
 	}
 	if totalRuns != len(cfgs) {
 		t.Errorf("workers report %d runs, want %d", totalRuns, len(cfgs))
+	}
+	for i, ws := range sched {
+		if span, want := ws.Busy+ws.Idle, sched[0].Busy+sched[0].Idle; span != want {
+			t.Errorf("worker %d busy+idle = %v, worker 0 = %v; every worker spans the whole call", i, span, want)
+		}
 	}
 
 	serial := NewRunner(Config{Scale: 3, Seed: 1, Parallel: false})

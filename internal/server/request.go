@@ -37,7 +37,7 @@ const (
 	maxAssoc = 64
 	// maxScale bounds requested scheduling rounds per workload.
 	maxScale = 1000
-	// maxIntraWorkers bounds a job's intra-run worker count.
+	// maxIntraWorkers bounds the deprecated intra_workers job option.
 	maxIntraWorkers = 64
 	// maxSweepPoints bounds the grid of one sweep job.
 	maxSweepPoints = 64
@@ -201,7 +201,6 @@ func (rr *RunRequest) toConfig() (core.RunConfig, error) {
 		Seed:         rr.Seed,
 		DeferredCopy: rr.DeferredCopy,
 		PureUpdate:   rr.PureUpdate,
-		IntraWorkers: rr.IntraWorkers,
 	}
 	if rr.Machine != nil {
 		p, err := rr.Machine.toParams()
@@ -343,7 +342,7 @@ func (sr *SweepRequest) expand() ([]sweepPoint, error) {
 			machine := *g.p
 			cfg := core.RunConfig{
 				System: sys, Scale: sr.Scale, Seed: sr.Seed,
-				Machine: &machine, IntraWorkers: sr.IntraWorkers,
+				Machine: &machine,
 			}
 			if g.spec != nil {
 				cfg.Scenario = g.spec

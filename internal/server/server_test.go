@@ -137,33 +137,37 @@ func TestRunJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestStreamingRun submits a run carrying the deprecated "stream" field
-// and checks the service-level contract: the field is still accepted
-// (and ignored), the job completes with full counters, the progress
-// view reports generation alongside simulation (gen_refs), and a later
-// submit without the field dedupes onto the same job.
+// TestStreamingRun submits runs carrying the deprecated "stream" and
+// "intra_workers" fields and checks the service-level contract for
+// each: the field is still accepted (and ignored), the job completes
+// with full counters, the progress view reports generation alongside
+// simulation (gen_refs), and a later submit without the field dedupes
+// onto the same job.
 func TestStreamingRun(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
-	body := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5,"stream":true}`, testScale)
-	status, sub, _ := postJSON(t, ts.URL+"/v1/runs", body)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d, want 202", status)
-	}
-	v := waitJob(t, ts.URL, sub.ID)
-	if v.State != JobDone {
-		t.Fatalf("job finished %s (error %q), want done", v.State, v.Error)
-	}
-	if v.Result == nil || v.Result.Refs == 0 || v.Result.Cycles == 0 {
-		t.Fatalf("empty result: %+v", v.Result)
-	}
-	if v.Progress == nil || v.Progress.GenRefs != v.Progress.Refs {
-		t.Fatalf("finished progress %+v, want gen_refs == refs", v.Progress)
-	}
+	for i, field := range []string{`"stream":true`, `"intra_workers":4`} {
+		seed := 5 + i
+		body := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":%d,%s}`, testScale, seed, field)
+		status, sub, _ := postJSON(t, ts.URL+"/v1/runs", body)
+		if status != http.StatusAccepted {
+			t.Fatalf("%s: submit: HTTP %d, want 202", field, status)
+		}
+		v := waitJob(t, ts.URL, sub.ID)
+		if v.State != JobDone {
+			t.Fatalf("%s: job finished %s (error %q), want done", field, v.State, v.Error)
+		}
+		if v.Result == nil || v.Result.Refs == 0 || v.Result.Cycles == 0 {
+			t.Fatalf("%s: empty result: %+v", field, v.Result)
+		}
+		if v.Progress == nil || v.Progress.GenRefs != v.Progress.Refs {
+			t.Fatalf("%s: finished progress %+v, want gen_refs == refs", field, v.Progress)
+		}
 
-	plain := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":5}`, testScale)
-	status, again, _ := postJSON(t, ts.URL+"/v1/runs", plain)
-	if status != http.StatusOK || !again.Deduped || again.ID != sub.ID {
-		t.Errorf("submit without stream got HTTP %d %+v, want dedup onto job %s", status, again, sub.ID)
+		plain := fmt.Sprintf(`{"workload":"TRFD_4","system":"Blk_Dma","scale":%d,"seed":%d}`, testScale, seed)
+		status, again, _ := postJSON(t, ts.URL+"/v1/runs", plain)
+		if status != http.StatusOK || !again.Deduped || again.ID != sub.ID {
+			t.Errorf("submit without %s got HTTP %d %+v, want dedup onto job %s", field, status, again, sub.ID)
+		}
 	}
 }
 
@@ -202,6 +206,8 @@ func TestBadRequests(t *testing.T) {
 		{"negative scale", `{"workload":"TRFD_4","system":"Base","scale":-1}`},
 		{"huge scale", `{"workload":"TRFD_4","system":"Base","scale":100000}`},
 		{"negative seed", `{"workload":"TRFD_4","system":"Base","seed":-5}`},
+		{"negative intra_workers", `{"workload":"TRFD_4","system":"Base","intra_workers":-1}`},
+		{"huge intra_workers", `{"workload":"TRFD_4","system":"Base","intra_workers":65}`},
 		{"unknown field", `{"workload":"TRFD_4","system":"Base","bogus":1}`},
 		{"trailing data", `{"workload":"TRFD_4","system":"Base"} extra`},
 		{"zero cache", `{"workload":"TRFD_4","system":"Base","machine":{"l1d_size_kb":0}}`},

@@ -71,8 +71,8 @@ func isRequestError(err error) bool {
 }
 
 // JobOptions are the execution knobs every job-submitting request
-// shares: simulation scale, the deterministic seed, intra-run
-// parallelism, and the per-job deadline.
+// shares: simulation scale, the deterministic seed and the per-job
+// deadline.
 type JobOptions struct {
 	// Scale is the scheduling-round multiplier (0 = workload default).
 	Scale int `json:"scale,omitempty"`
@@ -83,11 +83,10 @@ type JobOptions struct {
 	// decodable so existing clients that send it are not rejected as
 	// sending an unknown field.
 	Stream bool `json:"stream,omitempty"`
-	// IntraWorkers advances the processors of each single simulation
-	// concurrently on this many worker goroutines. Results are
-	// byte-identical to serial execution (the canonical key ignores
-	// this knob too), so it only trades the job's wall clock; 0 or 1
-	// means serial.
+	// IntraWorkers is deprecated and ignored: every simulation runs
+	// serially. Like Stream it stays decodable so existing clients are
+	// not rejected, and its range is still checked because it is
+	// outside input.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 	// TimeoutMS optionally tightens the server's per-job deadline; it
 	// can never extend it.

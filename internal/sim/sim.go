@@ -60,10 +60,6 @@ type Simulator struct {
 	drainMask []uint64
 
 	refs uint64
-
-	// intraStats is the parallel engine's window census of the last Run
-	// (see parallel.go); zero for serial runs.
-	intraStats intraStats
 }
 
 // ConflictPair names the two data structures involved in a
@@ -160,9 +156,6 @@ func New(p Params, sources []trace.Source) (*Simulator, error) {
 // ctxCheckStride steps, so an abort costs at most a few microseconds of
 // extra simulation); the error then wraps context.Cause(ctx).
 func (s *Simulator) Run(ctx context.Context) (*Result, error) {
-	if s.intraEligible() {
-		return s.runParallel(ctx)
-	}
 	for n := uint64(0); ; n++ {
 		if n&(ctxCheckStride-1) == 0 {
 			select {
@@ -333,21 +326,6 @@ func (s *Simulator) runqFixAfterStep(c *cpuState) {
 	i := int(s.heapPos[c.id])
 	if !s.runqDown(i) {
 		s.runqUp(i)
-	}
-}
-
-// runqRebuild reconstructs the runnable set from scratch — after a
-// parallel window, whose workers advance clocks (and can finish
-// processors) without touching the heap.
-func (s *Simulator) runqRebuild() {
-	s.runq = s.runq[:0]
-	for i := range s.heapPos {
-		s.heapPos[i] = -1
-	}
-	for _, c := range s.cpus {
-		if !c.done && !c.blocked {
-			s.runqPush(int32(c.id))
-		}
 	}
 }
 

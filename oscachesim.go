@@ -181,18 +181,6 @@ func WithMachine(m MachineParams) Option {
 // simulation is cycle-ordered and inherently serial.
 func WithParallelism(p int) Option { return func(s *Sim) { s.workers = p } }
 
-// WithIntraParallelism runs each single simulation on n worker
-// goroutines: processors advance concurrently through provably
-// conflict-free time windows, with the serial engine covering the rest.
-// Results are byte-identical to serial execution — pinned by the
-// intra-run determinism tier — so this only trades wall clock; the
-// attainable speedup is bounded by how much of the workload's
-// reference stream is window-local (see EXPERIMENTS.md). 0 or 1 means
-// serial. Composes with [WithParallelism].
-func WithIntraParallelism(n int) Option {
-	return func(s *Sim) { s.cfg.IntraWorkers = n }
-}
-
 // WithScenario replaces the Sim's named workload with a declarative
 // user-defined one; the workload passed to New is ignored. The spec's
 // content hash joins the canonical run key, so equal specs share
@@ -243,7 +231,6 @@ func (s *Sim) Run(ctx context.Context) (*Outcome, error) { return core.Run(ctx, 
 func (s *Sim) Compare(ctx context.Context, systems ...System) ([]*Outcome, error) {
 	r := experiment.NewRunnerContext(ctx, experiment.Config{
 		Scale: s.cfg.Scale, Seed: s.cfg.Seed, Parallel: true, Workers: s.workers,
-		IntraWorkers: s.cfg.IntraWorkers,
 	})
 	cfgs := make([]core.RunConfig, len(systems))
 	for i, sys := range systems {
