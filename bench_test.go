@@ -116,14 +116,39 @@ func (s *cyclicSource) Next() (trace.Ref, bool) {
 // per-reference cost on the Base machine: one long-lived simulator
 // consumes exactly b.N references of a pre-built trace replayed
 // cyclically, so allocs/op is the amortized heap traffic of the inner
-// loop itself (target: 0) rather than of workload construction. Sync
-// annotations are cleared before replay — a cycled trace would
-// otherwise strand processors at barriers whose partners ran out of
-// budget mid-round.
+// loop itself (target: 0) rather than of workload construction.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	built := workload.Build(workload.TRFD4, kernel.OptConfig{}, benchScale, 1)
-	per := make([][]trace.Ref, len(built.PerCPU))
-	for c, refs := range built.PerCPU {
+	benchCyclic(b, sim.DefaultParams(), built.PerCPU)
+}
+
+// BenchmarkSimulatorDir16 is BenchmarkSimulatorThroughput at scheduler
+// scale: the sharing scenario on the 16-CPU directory machine, where
+// picking the next processor is a visible share of each reference.
+func BenchmarkSimulatorDir16(b *testing.B) {
+	spec, err := scenario.Preset("sharing")
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := workload.BuildSpec(spec, kernel.OptConfig{}, benchScale, 1, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := sim.DefaultParams()
+	p.NumCPUs = 16
+	p.Coherence = sim.CoherenceDirectory
+	benchCyclic(b, p, built.PerCPU)
+}
+
+// benchCyclic runs one simulator of machine p over exactly b.N
+// references of the per-CPU traces replayed cyclically and reports
+// Mrefs/s. Sync annotations are cleared before replay — a cycled trace
+// would otherwise strand processors at barriers whose partners ran out
+// of budget mid-round.
+func benchCyclic(b *testing.B, p sim.Params, perCPU [][]trace.Ref) {
+	b.Helper()
+	per := make([][]trace.Ref, len(perCPU))
+	for c, refs := range perCPU {
 		per[c] = make([]trace.Ref, len(refs))
 		copy(per[c], refs)
 		for i := range per[c] {
@@ -135,7 +160,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for c := range per {
 		srcs[c] = &cyclicSource{refs: per[c], budget: &budget}
 	}
-	s, err := sim.New(sim.DefaultParams(), srcs)
+	s, err := sim.New(p, srcs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -122,6 +122,42 @@ func TestDeadlockErrorMessageNamesCulprits(t *testing.T) {
 	}
 }
 
+// TestDeadlockErrorIsDeterministic builds a two-lock cycle (cpu0 holds
+// lock 1 and wants lock 2, cpu1 holds lock 2 and wants lock 1) and
+// checks that the error names both locks in ascending order, run after
+// run, whatever the map iteration order.
+func TestDeadlockErrorIsDeterministic(t *testing.T) {
+	p := DefaultParams()
+	p.NumCPUs = 2
+	acq := func(cpu uint8, id uint32) trace.Ref {
+		return trace.Ref{CPU: cpu, Addr: 0x100 * uint64(id), Op: trace.OpWrite, Kind: trace.KindOS, Sync: trace.SyncLockAcquire, SyncID: id}
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		s, err := New(p, []trace.Source{
+			trace.NewSliceSource([]trace.Ref{acq(0, 1), acq(0, 2)}),
+			trace.NewSliceSource([]trace.Ref{acq(1, 2), acq(1, 1)}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run(context.Background())
+		if err == nil {
+			t.Fatal("no deadlock error")
+		}
+		msg := err.Error()
+		if i == 0 {
+			first = msg
+			l1, l2 := strings.Index(msg, "lock 1 held by cpu0"), strings.Index(msg, "lock 2 held by cpu1")
+			if l1 < 0 || l2 < 0 || l1 > l2 {
+				t.Fatalf("deadlock error does not name lock 1 then lock 2: %v", msg)
+			}
+		} else if msg != first {
+			t.Fatalf("run %d: deadlock error %q differs from %q", i, msg, first)
+		}
+	}
+}
+
 func TestDeadlockErrorNamesBarrier(t *testing.T) {
 	p := DefaultParams()
 	p.NumCPUs = 2

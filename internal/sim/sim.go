@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"oscachesim/internal/bus"
 	"oscachesim/internal/coherence"
@@ -41,18 +42,17 @@ type Simulator struct {
 	// when Params.RegionNamer is set.
 	conflicts map[ConflictPair]uint64
 
-	// runq holds the runnable processor ids — only runnable ones, so
-	// done and blocked processors cost nothing per step. At small
-	// machine sizes it is an unordered set selected from by linear
-	// scan (a handful of loads, cheaper than heap maintenance); past
-	// runqScanMax CPUs it is a binary min-heap keyed on (local clock,
-	// id), replacing the per-step scan that turned quadratic at
-	// directory-scale CPU counts. Both orders pick the same processor:
-	// smallest clock, ties to the lowest id. heapPos is each
-	// processor's index in runq, or -1 while it is done or blocked.
-	runq    []int32
-	heapPos []int32
-	useHeap bool
+	// tree is a winner (tournament) tree over the processors'
+	// scheduling keys (see idBits). Its leaves tree[len(tree)/2+id] are
+	// the dense per-processor key array, padded to a power of two with
+	// idle; each internal node tree[k] holds the smaller of tree[2k]
+	// and tree[2k+1], so tree[1] is the key of the next processor to
+	// run: smallest clock first, ties to the lowest id.
+	tree []uint64
+	// woken collects the processors a step's lock grant or barrier
+	// release made runnable; their keys are refreshed after the step,
+	// once the grant's own access has advanced their clocks.
+	woken []*cpuState
 
 	// drainMask has one bit per processor, set while that processor has
 	// a nonempty write buffer. step probes only flagged processors (in
@@ -138,14 +138,10 @@ func New(p Params, sources []trace.Source) (*Simulator, error) {
 	for i, src := range sources {
 		s.cpus = append(s.cpus, newCPU(i, p, src))
 	}
-	s.useHeap = p.NumCPUs > runqScanMax
-	s.heapPos = make([]int32, p.NumCPUs)
-	s.runq = make([]int32, 0, p.NumCPUs)
-	for i := range s.cpus {
-		s.heapPos[i] = -1
-	}
-	for i := range s.cpus {
-		s.runqPush(int32(i))
+	s.tree = newTree(p.NumCPUs)
+	s.woken = make([]*cpuState, 0, p.NumCPUs)
+	for _, c := range s.cpus {
+		s.reschedule(c)
 	}
 	s.drainMask = make([]uint64, (p.NumCPUs+63)/64)
 	return s, nil
@@ -164,18 +160,26 @@ func (s *Simulator) Run(ctx context.Context) (*Result, error) {
 			default:
 			}
 		}
-		if len(s.runq) == 0 {
+		next := s.tree[1]
+		if next == idle {
 			if s.allDone() {
 				break
 			}
 			return nil, s.deadlockError()
 		}
-		c := s.schedNext()
+		c := s.cpus[next&idMask]
+		if c.time > maxClock {
+			return nil, fmt.Errorf("sim: cpu%d's clock passed %d cycles", c.id, uint64(maxClock))
+		}
 		if s.p.MaxRefs != 0 && s.refs >= s.p.MaxRefs {
 			return nil, fmt.Errorf("sim: exceeded MaxRefs=%d", s.p.MaxRefs)
 		}
 		s.step(c)
-		s.runqFixAfterStep(c)
+		s.reschedule(c)
+		for _, wc := range s.woken {
+			s.reschedule(wc)
+		}
+		s.woken = s.woken[:0]
 		if s.p.Progress != nil && n&(progressStride-1) == 0 {
 			s.p.Progress.sample(s.refs, s.c.DReadMisses[trace.KindOS], c.time)
 		}
@@ -208,124 +212,43 @@ const (
 	progressStride = 256
 )
 
-// runqScanMax is the machine size up to which runnable selection is a
-// linear scan of the runnable set; above it the set is heap-ordered.
-const runqScanMax = 32
+// A scheduling key packs a runnable processor's local clock above its
+// id, so one unsigned compare orders by clock and breaks ties toward
+// the lowest id. Clocks saturate at maxClock, which keeps every
+// runnable key below idle, the key of a processor that is done or
+// blocked and of the tree's padding.
+const (
+	idBits   = 8
+	idMask   = 1<<idBits - 1
+	maxClock = 1<<(64-idBits) - 2
+	idle     = ^uint64(0)
+)
 
-// nextRunnable returns the unblocked, unfinished processor with the
-// smallest local clock, or nil. Ties break toward the lowest id, the
-// order the original full linear scan produced.
-func (s *Simulator) nextRunnable() *cpuState {
-	if len(s.runq) == 0 {
-		return nil
+// Every processor id must fit in idBits.
+var _ [1<<idBits - MaxDirectoryCPUs]struct{}
+
+// newTree returns an all-idle winner tree with a leaf for each of n
+// processors.
+func newTree(n int) []uint64 {
+	tree := make([]uint64, 2<<bits.Len(uint(n-1)))
+	for i := range tree {
+		tree[i] = idle
 	}
-	return s.schedNext()
+	return tree
 }
 
-// schedNext picks the runnable processor with the smallest (clock, id)
-// key. The caller guarantees the runnable set is nonempty.
-func (s *Simulator) schedNext() *cpuState {
-	if s.useHeap {
-		return s.cpus[s.runq[0]]
-	}
-	best := s.runq[0]
-	bt := s.cpus[best].time
-	for _, id := range s.runq[1:] {
-		if t := s.cpus[id].time; t < bt || (t == bt && id < best) {
-			best, bt = id, t
-		}
-	}
-	return s.cpus[best]
-}
-
-// runLess orders the heap by (local clock, id): the strict < on time
-// means the earliest-pushed lowest id wins ties, byte-identical to the
-// linear scan it replaced.
-func (s *Simulator) runLess(a, b int32) bool {
-	ta, tb := s.cpus[a].time, s.cpus[b].time
-	return ta < tb || (ta == tb && a < b)
-}
-
-func (s *Simulator) runqSwap(i, j int) {
-	s.runq[i], s.runq[j] = s.runq[j], s.runq[i]
-	s.heapPos[s.runq[i]] = int32(i)
-	s.heapPos[s.runq[j]] = int32(j)
-}
-
-func (s *Simulator) runqUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.runLess(s.runq[i], s.runq[parent]) {
-			return
-		}
-		s.runqSwap(i, parent)
-		i = parent
-	}
-}
-
-func (s *Simulator) runqDown(i int) bool {
-	n := len(s.runq)
-	start := i
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s.runLess(s.runq[r], s.runq[l]) {
-			m = r
-		}
-		if !s.runLess(s.runq[m], s.runq[i]) {
-			break
-		}
-		s.runqSwap(i, m)
-		i = m
-	}
-	return i > start
-}
-
-// runqPush inserts a (re)runnable processor.
-func (s *Simulator) runqPush(id int32) {
-	s.heapPos[id] = int32(len(s.runq))
-	s.runq = append(s.runq, id)
-	if s.useHeap {
-		s.runqUp(len(s.runq) - 1)
-	}
-}
-
-// runqRemove drops a processor that finished or blocked.
-func (s *Simulator) runqRemove(id int32) {
-	i := int(s.heapPos[id])
-	if i < 0 {
-		return
-	}
-	n := len(s.runq) - 1
-	s.runqSwap(i, n)
-	s.runq = s.runq[:n]
-	s.heapPos[id] = -1
-	if s.useHeap && i < n {
-		if !s.runqDown(i) {
-			s.runqUp(i)
-		}
-	}
-}
-
-// runqFixAfterStep restores heap order for the just-stepped processor:
-// it either left the runnable set (done, or blocked on a lock/barrier)
-// or its clock advanced. A barrier release inside the step can also
-// have moved it away from the root, so the repair starts from its
-// current position and sifts both ways.
-func (s *Simulator) runqFixAfterStep(c *cpuState) {
+// reschedule stores c's key in its leaf and replays the leaf-to-root
+// path of the winner tree.
+func (s *Simulator) reschedule(c *cpuState) {
+	k := min(c.time, maxClock)<<idBits | uint64(c.id)
 	if c.done || c.blocked {
-		s.runqRemove(int32(c.id))
-		return
+		k = idle
 	}
-	if !s.useHeap {
-		return
-	}
-	i := int(s.heapPos[c.id])
-	if !s.runqDown(i) {
-		s.runqUp(i)
+	n := len(s.tree)/2 + c.id
+	s.tree[n] = k
+	for ; n > 1; n >>= 1 {
+		k = min(k, s.tree[n^1])
+		s.tree[n>>1] = k
 	}
 }
 
@@ -340,17 +263,28 @@ func (s *Simulator) allDone() bool {
 
 func (s *Simulator) deadlockError() error {
 	msg := ErrDeadlock.Error()
-	for id, l := range s.locks {
-		if l.held {
+	for _, id := range sortedIDs(s.locks) {
+		if l := s.locks[id]; l.held {
 			msg += fmt.Sprintf("; lock %d held by cpu%d with %d waiters", id, l.owner, len(l.waiters))
 		}
 	}
-	for id, b := range s.barriers {
-		if len(b.arrived) > 0 {
+	for _, id := range sortedIDs(s.barriers) {
+		if b := s.barriers[id]; len(b.arrived) > 0 {
 			msg += fmt.Sprintf("; barrier %d has %d/%d arrivals", id, len(b.arrived), b.need)
 		}
 	}
 	return fmt.Errorf("%s", msg)
+}
+
+// sortedIDs returns m's keys in ascending order, so error messages do
+// not depend on map iteration order.
+func sortedIDs[V any](m map[uint32]V) []uint32 {
+	ids := make([]uint32, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // step executes one trace reference on processor c. Before the
@@ -472,7 +406,7 @@ func (s *Simulator) lockRelease(c *cpuState, r trace.Ref) {
 	s.c.Time[wmode].Sync += grant - w.arrived
 	wc.time = grant
 	wc.blocked = false
-	s.runqPush(int32(wc.id))
+	s.woken = append(s.woken, wc)
 	// The successful test&set happens now, with its coherence
 	// traffic (it invalidates the releaser's copy of the lock word,
 	// seeding the next coherence miss on the lock).
@@ -505,9 +439,8 @@ func (s *Simulator) barrierArrive(c *cpuState, r trace.Ref, mode int) {
 		wc.time = release
 		wc.blocked = false
 		if wc != c {
-			// c is still in the heap (it is mid-step); the others
-			// blocked on arrival and left it.
-			s.runqPush(int32(wc.id))
+			// c is rescheduled after its step anyway.
+			s.woken = append(s.woken, wc)
 		}
 	}
 	delete(s.barriers, r.SyncID)
